@@ -4,7 +4,10 @@ Every kernel ships as a pure-numpy implementation (``*_numpy``) and, when
 numba is importable, a compiled scalar-loop version. The compiled versions
 are used by default; set ``BLOCKGIBBS_DISABLE_NUMBA=1`` in the environment
 (before import) to force the numpy fallback. Both backends are deterministic
-given the same inputs; they may differ in the last ulp on reductions.
+given the same inputs; they may differ in the last ulp on reductions. The
+numpy backend runs the inverse-Gaussian transform of short vectors through
+the same scalar loop, uncompiled, because there numpy's per-call cost
+dominates.
 
 All random-number consumption happens outside these kernels: callers draw
 the standard normals and uniforms and pass them in, so the active backend
@@ -35,44 +38,68 @@ except ImportError:
 #
 # Maps one chi-square variate (normal**2) and one uniform to a draw from the
 # mean/shape-parameterized inverse-Gaussian via the Michael-Schucany-Haas
-# transformation. The smaller-root formula is rationalized so it cannot go
-# negative by cancellation. Entries with mu == +inf take the exact
-# large-mean limit lam / chi2, which corresponds to drawing the reciprocal
-# scale when the conditioning coefficient block is exactly zero.
+# transformation. Entries with mu == +inf take the exact large-mean limit
+# lam / chi2, which corresponds to drawing the reciprocal scale when the
+# conditioning coefficient block is exactly zero, and then pass through the
+# same accept/reject step as every other entry.
+#
+# The vectorized and the scalar versions perform the same IEEE operations in
+# the same order, so they agree bit for bit for mu in [0, inf], finite
+# normals, lam > 0 and uniforms in [0, 1]; the squares are products, never
+# pow, and the scalar loop returns numpy's inf or nan where Python would
+# raise on a division by zero.
 # ---------------------------------------------------------------------------
+
+# Vectors up to this length take the scalar loop on the numpy backend: each
+# numpy call costs about a microsecond whatever the length, and the
+# vectorized transform makes about twenty of them.
+SHORT_VECTOR_MAX = 8
+
 
 def ig_transform_numpy(mu: np.ndarray, lam: float, normals: np.ndarray,
                        uniforms: np.ndarray) -> np.ndarray:
-    nu = normals * normals
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        root = np.sqrt(4.0 * mu * lam * nu + (mu * nu) ** 2)
-        x = mu - 2.0 * mu * mu * nu / (mu * nu + root)
-        x = np.where(nu == 0.0, mu, x)  # exact nu -> 0 limit, avoids 0/0
-        x = np.where(np.isinf(mu), lam / nu, x)
-        accept = uniforms * (mu + x) <= mu
-        out = np.where(accept, x, mu * mu / x)
+        nu = normals * normals
+        mnu = mu * nu
+        root = np.sqrt(4.0 * mu * lam * nu + mnu * mnu)
+        x = mu - 2.0 * mu * mu * nu / (mnu + root)
+        np.copyto(x, mu, where=nu == 0.0)  # exact nu -> 0 limit, avoids 0/0
+        np.divide(lam, nu, out=x, where=np.isinf(mu))
+        out = mu * mu / x
+        np.copyto(out, x, where=uniforms * (mu + x) <= mu)
     return out
 
 
 def _ig_transform_loop(mu, lam, normals, uniforms):
-    q = mu.shape[0]
+    q = len(mu)
     out = np.empty(q)
     for i in range(q):
         m = mu[i]
         nu = normals[i] * normals[i]
         if math.isinf(m):
-            out[i] = lam / nu if nu > 0.0 else math.inf
-            continue
-        if nu == 0.0:  # exact nu -> 0 limit, avoids 0/0
+            x = lam / nu if nu > 0.0 else math.inf
+        elif nu == 0.0:  # exact nu -> 0 limit, avoids 0/0
             x = m
         else:
-            root = math.sqrt(4.0 * m * lam * nu + (m * nu) ** 2)
-            x = m - 2.0 * m * m * nu / (m * nu + root)
+            mnu = m * nu
+            den = mnu + math.sqrt(4.0 * m * lam * nu + mnu * mnu)
+            # den == 0 only when m * nu underflows, where the quotient is 0/0
+            x = m - 2.0 * m * m * nu / den if den > 0.0 else math.nan
         if uniforms[i] * (m + x) <= m:
             out[i] = x
-        else:
+        elif x != 0.0:
             out[i] = m * m / x
+        else:  # mu = inf and lam / nu underflowed: numpy's inf / 0
+            out[i] = math.inf
     return out
+
+
+def ig_transform_short(mu: np.ndarray, lam: float, normals: np.ndarray,
+                       uniforms: np.ndarray) -> np.ndarray:
+    """The numpy backend's transform: the scalar loop on short vectors."""
+    if mu.shape[0] > SHORT_VECTOR_MAX:
+        return ig_transform_numpy(mu, lam, normals, uniforms)
+    return _ig_transform_loop(mu.tolist(), lam, normals.tolist(), uniforms.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +201,7 @@ if HAS_NUMBA:
     tridiag_quad_form = tridiag_quad_form_numba
 else:
     BACKEND = "numpy"
-    ig_transform = ig_transform_numpy
+    ig_transform = ig_transform_short
     group_sqnorms = group_sqnorms_numpy
     expand_by_group = expand_by_group_numpy
     fused_bands = fused_bands_numpy

@@ -32,16 +32,18 @@ def reset_factorization_count() -> None:
     _factorizations = 0
 
 
-def cholesky_spd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+def cholesky_spd(a: np.ndarray, name: str = "matrix",
+                 overwrite: bool = False) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
     Only the lower triangle of the result is meaningful. Raises
     FactorizationError naming the offending matrix when `a` is not
-    numerically positive definite.
+    numerically positive definite. With `overwrite` and a Fortran-ordered
+    `a`, the factor is computed in place and `a` is returned.
     """
     global _factorizations
     _factorizations += 1
-    c, info = _potrf(a, lower=1, clean=0, overwrite_a=0)
+    c, info = _potrf(a, lower=1, clean=0, overwrite_a=int(overwrite))
     if info != 0:
         raise FactorizationError(name, f"LAPACK potrf info={info}")
     return c

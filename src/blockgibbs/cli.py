@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import diagnose
+from .diagnostics import MIN_ESS_DRAWS, diagnose
 from .errors import BlockGibbsError, DimensionMismatchError
 from .model_core import Dataset, GroupStructure, ModelKind, ModelSpec
 from .rng_dist import RngStream
@@ -209,6 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_run_config(args, store_beta: bool = False) -> RunConfig:
+    """The chain settings of `run` or `bench`, checked before any chain runs."""
     if args.long_run:
         iters = 100_000 if args.iters is None else args.iters
         burnin = 10_000 if args.burnin is None else args.burnin
@@ -216,10 +217,16 @@ def _resolve_run_config(args, store_beta: bool = False) -> RunConfig:
         iters = 10_000 if args.iters is None else args.iters
         burnin = 1_000 if args.burnin is None else args.burnin
     try:
-        return RunConfig(n_iter=iters, burn_in=burnin, seed=args.seed,
-                         store_beta=store_beta, thin=args.thin)
+        config = RunConfig(n_iter=iters, burn_in=burnin, seed=args.seed,
+                           store_beta=store_beta, thin=args.thin)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    kept = (iters - burnin) // args.thin
+    if kept < MIN_ESS_DRAWS:
+        raise UsageError(
+            f"--iters {iters} with --burnin {burnin} and --thin {args.thin} "
+            f"keeps {kept} draws; the diagnostics need at least {MIN_ESS_DRAWS}")
+    return config
 
 
 def _resolve_model(args, groups: GroupStructure | None) -> ModelSpec:
@@ -507,17 +514,12 @@ def _grid_from_args(args) -> BenchGrid:
     if kind is not ModelKind.FUSED_LASSO and Scenario(args.scenario) is Scenario.ADJACENT_SIMILAR:
         raise UsageError("scenario s2 has no group structure; "
                          "use s1/wide/tall for the group models")
-    if args.long_run:
-        n_iter = 100_000 if args.iters is None else args.iters
-        burn_in = 10_000 if args.burnin is None else args.burnin
-    else:
-        n_iter = 10_000 if args.iters is None else args.iters
-        burn_in = 1_000 if args.burnin is None else args.burnin
+    config = _resolve_run_config(args)
     return BenchGrid(
         model=args.model, scenario=args.scenario,
         kernels=tuple(k.strip() for k in args.kernels.split(",") if k.strip()),
-        cells=_bench_cells(args), reps=args.reps, n_iter=n_iter,
-        burn_in=burn_in, thin=args.thin, master_seed=args.seed,
+        cells=_bench_cells(args), reps=args.reps, n_iter=config.n_iter,
+        burn_in=config.burn_in, thin=config.thin, master_seed=args.seed,
         alpha=args.alpha, xi=args.xi, lam=args.lam, lam1=args.lambda1,
         lam2=args.lambda2)
 

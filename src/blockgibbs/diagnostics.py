@@ -22,7 +22,11 @@ __all__ = [
     "Summary",
     "DiagnosticsReport",
     "diagnose",
+    "MIN_ESS_DRAWS",
 ]
+
+# Shortest series the ESS estimator accepts.
+MIN_ESS_DRAWS = 100
 
 
 def _autocovariances(series: np.ndarray) -> np.ndarray:
@@ -64,7 +68,7 @@ def ess_univariate(series) -> float:
     keep the initial run of positive pairs, force the kept run to be
     non-increasing, and stop there. The result is clamped to (0, N].
     """
-    x = _checked_series(series, 100)
+    x = _checked_series(series, MIN_ESS_DRAWS)
     n = x.shape[0]
     acov = _autocovariances(x)
     if acov[0] <= 0.0:

@@ -279,19 +279,31 @@ def build_fused_precision(scales: LatentScales) -> SymmetricTridiagonal:
 
 
 def add_prior_precision(gram: np.ndarray,
-                        prior_inv: np.ndarray | SymmetricTridiagonal) -> np.ndarray:
+                        prior_inv: np.ndarray | SymmetricTridiagonal,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """X^T X plus a prior precision given as a diagonal, bands, or dense matrix.
 
-    `gram` must be C-contiguous; the bands are added through strided flat
-    views to keep this allocation-free in the sampler loop.
+    The sum is written to `out`, a C- or Fortran-contiguous p x p array, when
+    given, and to a fresh copy of `gram` otherwise; the bands are added
+    through strided flat views, so a reused `out` keeps this allocation-free
+    in the sampler loop.
     """
     p = gram.shape[0]
-    a = gram.copy()
+    if out is None:
+        a = gram.copy()
+    elif out.shape != gram.shape or not (out.flags.c_contiguous
+                                         or out.flags.f_contiguous):
+        raise ValueError("out must be a contiguous array shaped like gram")
+    else:
+        a = out
+        np.copyto(a, gram)
+    # a view in memory order: the diagonal and the two bands sit at the same
+    # flat strides in C and in Fortran order
+    flat = a.ravel(order="K")
     if isinstance(prior_inv, SymmetricTridiagonal):
         if prior_inv.diag.shape[0] != p:
             raise DimensionMismatchError("prior precision size vs p",
                                          p, prior_inv.diag.shape[0])
-        flat = a.reshape(-1)
         flat[::p + 1] += prior_inv.diag
         flat[1::p + 1] += prior_inv.off
         flat[p::p + 1] += prior_inv.off
@@ -301,12 +313,13 @@ def add_prior_precision(gram: np.ndarray,
         if prior_inv.shape[0] != p:
             raise DimensionMismatchError("prior precision size vs p",
                                          p, prior_inv.shape[0])
-        a.reshape(-1)[::p + 1] += prior_inv
+        flat[::p + 1] += prior_inv
         return a
     if prior_inv.shape != (p, p):
         raise DimensionMismatchError("prior precision size vs p",
                                      p, prior_inv.shape[0])
-    return a + prior_inv
+    a += prior_inv
+    return a
 
 
 def assemble_posterior_precision(dataset: Dataset,

@@ -102,9 +102,21 @@ class ChainOutput:
     config: RunConfig
 
 
+# The chain loop runs with every floating-point warning off: an all-zero
+# coefficient block divides by zero on purpose (an infinite inverse-Gaussian
+# mean), and non-finite draws are detected explicitly and raised as
+# SamplerError. The caller's settings are restored when the loop exits.
+_QUIET = dict(all="ignore")
+
+
 @dataclass(frozen=True)
 class _Workspace:
-    """Per-dataset precomputations shared by every iteration."""
+    """Per-dataset precomputations shared by every iteration.
+
+    `gram` is kept in Fortran order so that copying it into the scratch
+    array `a`, where each iteration assembles the posterior precision and
+    LAPACK factors it in place, is one contiguous copy.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -113,48 +125,63 @@ class _Workspace:
     yty: float
     n: int
     p: int
+    a: np.ndarray
 
     @classmethod
     def build(cls, dataset: Dataset) -> "_Workspace":
-        gram = dataset.x.T @ dataset.x
+        gram = np.asfortranarray(dataset.x.T @ dataset.x)
         return cls(x=dataset.x, y=dataset.y, gram=gram,
                    xty=dataset.x.T @ dataset.y,
                    yty=float(dataset.y @ dataset.y),
-                   n=dataset.n, p=dataset.p)
+                   n=dataset.n, p=dataset.p, a=np.empty_like(gram, order="F"))
 
 
 def _ig_draws(lam_sq: float, sigma2: float, sq: np.ndarray,
-              rng: RngStream) -> np.ndarray:
+              gen: np.random.Generator) -> np.ndarray:
     """Reciprocal-scale draws: IG(sqrt(lam^2 sigma2 / sq), lam^2) per entry.
 
-    Entries with sq == 0 get an infinite mean parameter and take the exact
-    large-mean limit inside the transform (the zero-coefficient branch).
+    Entries with sq == 0 get an infinite mean parameter (a division by zero,
+    so callers run this under np.errstate) and take the exact large-mean
+    limit inside the transform (the zero-coefficient branch).
     """
-    mu = np.sqrt(np.divide(lam_sq * sigma2, sq,
-                           out=np.full_like(sq, np.inf), where=sq > 0.0))
-    gen = rng.generator
-    return _kernels.ig_transform(mu, lam_sq, gen.standard_normal(mu.shape[0]),
-                                 gen.random(mu.shape[0]))
+    mu = np.sqrt(lam_sq * sigma2 / sq)
+    q = mu.shape[0]
+    return _kernels.ig_transform(mu, lam_sq, gen.standard_normal(q), gen.random(q))
 
 
-def _latent_update(spec: ModelSpec, ws: _Workspace, beta: np.ndarray,
-                   sigma2: float, rng: RngStream) -> tuple[np.ndarray, ...]:
-    """Draw the reciprocal latent scales given the incoming (beta, sigma2)."""
+def _latent_sampler(spec: ModelSpec):
+    """Draw of the reciprocal latent scales given the incoming (beta, sigma2).
+
+    Returns `draw(beta, sigma2, gen) -> tuple of reciprocal scales` with the
+    model branch and the squared penalties resolved once.
+    """
     kind = spec.kind
+    if kind is ModelKind.FUSED_LASSO:
+        lam1_sq, lam2_sq = spec.lam1 * spec.lam1, spec.lam2 * spec.lam2
+
+        def draw_fused(beta, sigma2, gen):
+            inv_tau2 = _ig_draws(lam1_sq, sigma2, beta * beta, gen)
+            diffs = beta[1:] - beta[:-1]
+            return (inv_tau2, _ig_draws(lam2_sq, sigma2, diffs * diffs, gen))
+
+        return draw_fused
+    offsets, sizes = spec.groups.offsets, spec.groups.group_sizes
     if kind is ModelKind.GROUP_LASSO:
-        g = spec.groups
-        sq = _kernels.group_sqnorms(beta, g.offsets, g.group_sizes)
-        return (_ig_draws(spec.lam * spec.lam, sigma2, sq, rng),)
-    if kind is ModelKind.SPARSE_GROUP_LASSO:
-        g = spec.groups
-        sq = _kernels.group_sqnorms(beta, g.offsets, g.group_sizes)
-        inv_tau2 = _ig_draws(spec.lam1 * spec.lam1, sigma2, sq, rng)
-        inv_gamma2 = _ig_draws(spec.lam2 * spec.lam2, sigma2, beta * beta, rng)
-        return (inv_tau2, inv_gamma2)
-    inv_tau2 = _ig_draws(spec.lam1 * spec.lam1, sigma2, beta * beta, rng)
-    diffs = beta[1:] - beta[:-1]
-    inv_omega2 = _ig_draws(spec.lam2 * spec.lam2, sigma2, diffs * diffs, rng)
-    return (inv_tau2, inv_omega2)
+        lam_sq = spec.lam * spec.lam
+
+        def draw_group(beta, sigma2, gen):
+            sq = _kernels.group_sqnorms(beta, offsets, sizes)
+            return (_ig_draws(lam_sq, sigma2, sq, gen),)
+
+        return draw_group
+    lam1_sq, lam2_sq = spec.lam1 * spec.lam1, spec.lam2 * spec.lam2
+
+    def draw_sparse(beta, sigma2, gen):
+        sq = _kernels.group_sqnorms(beta, offsets, sizes)
+        inv_tau2 = _ig_draws(lam1_sq, sigma2, sq, gen)
+        return (inv_tau2, _ig_draws(lam2_sq, sigma2, beta * beta, gen))
+
+    return draw_sparse
 
 
 def _prior_precision(spec: ModelSpec, inv_scales: tuple[np.ndarray, ...]):
@@ -169,34 +196,43 @@ def _prior_precision(spec: ModelSpec, inv_scales: tuple[np.ndarray, ...]):
     return SymmetricTridiagonal(diag, off)
 
 
-def _prior_quad(prior_inv, beta: np.ndarray) -> float:
-    if isinstance(prior_inv, SymmetricTridiagonal):
-        return _kernels.tridiag_quad_form(prior_inv.diag, prior_inv.off, beta)
-    return float(prior_inv @ (beta * beta))
+def _block_sampler(spec: ModelSpec, ws: _Workspace, kernel: KernelKind):
+    """Draw of (sigma2, beta) given the fresh scales; one factorization total.
 
-
-def _block_update(spec: ModelSpec, ws: _Workspace, kernel: KernelKind,
-                  beta: np.ndarray, prior_inv,
-                  rng: RngStream) -> tuple[np.ndarray, float]:
-    """Draw (sigma2, beta) given the fresh scales; one factorization total."""
-    a = add_prior_precision(ws.gram, prior_inv)
-    chol = cholesky_spd(a, "posterior precision")
-    u = solve_lower(chol, ws.xty)
-    if kernel is KernelKind.TWO_BLOCK:
+    Returns `draw(beta, prior_inv, gen) -> (new_beta, sigma2)` with the
+    kernel branch and the gamma shape resolved once. The posterior precision
+    is assembled in `ws.a` and factored in place there.
+    """
+    two_block = kernel is KernelKind.TWO_BLOCK
+    fused = spec.kind is ModelKind.FUSED_LASSO
+    if two_block:
         shape = 0.5 * ws.n + spec.alpha
-        scale = 0.5 * (ws.yty - float(u @ u)) + spec.xi
     else:
-        resid = ws.y - ws.x @ beta
         shape = 0.5 * (ws.n + ws.p + 2.0 * spec.alpha)
-        scale = 0.5 * (float(resid @ resid) + _prior_quad(prior_inv, beta)
-                       + 2.0 * spec.xi)
-    if scale <= 0.0:
-        raise ValueError(f"non-positive residual-variance scale {scale}")
-    sigma2 = scale / rng.generator.gamma(shape)
-    mean = solve_lower_t(chol, u)
-    z = rng.generator.standard_normal(ws.p)
-    new_beta = mean + math.sqrt(sigma2) * solve_lower_t(chol, z)
-    return new_beta, float(sigma2)
+    xi = spec.xi
+
+    def draw(beta, prior_inv, gen):
+        a = add_prior_precision(ws.gram, prior_inv, out=ws.a)
+        chol = cholesky_spd(a, "posterior precision", overwrite=True)
+        u = solve_lower(chol, ws.xty)
+        if two_block:
+            scale = 0.5 * (ws.yty - float(u @ u)) + xi
+        else:
+            resid = ws.y - ws.x @ beta
+            if fused:
+                quad = _kernels.tridiag_quad_form(prior_inv.diag, prior_inv.off, beta)
+            else:
+                quad = float(prior_inv @ (beta * beta))
+            scale = 0.5 * (float(resid @ resid) + quad + 2.0 * xi)
+        if scale <= 0.0:
+            raise ValueError(f"non-positive residual-variance scale {scale}")
+        sigma2 = scale / gen.gamma(shape)
+        mean = solve_lower_t(chol, u)
+        z = gen.standard_normal(ws.p)
+        new_beta = mean + math.sqrt(sigma2) * solve_lower_t(chol, z)
+        return new_beta, float(sigma2)
+
+    return draw
 
 
 def _inv_scales_of(spec: ModelSpec, scales: LatentScales) -> tuple[np.ndarray, ...]:
@@ -219,9 +255,11 @@ def _step(kernel: KernelKind, state: ChainState, dataset: Dataset,
           spec: ModelSpec, rng: RngStream) -> ChainState:
     spec.validate_for(dataset)
     ws = _Workspace.build(dataset)
-    inv_scales = _latent_update(spec, ws, state.beta, state.sigma2, rng)
-    prior_inv = _prior_precision(spec, inv_scales)
-    beta, sigma2 = _block_update(spec, ws, kernel, state.beta, prior_inv, rng)
+    gen = rng.generator
+    with np.errstate(**_QUIET):
+        inv_scales = _latent_sampler(spec)(state.beta, state.sigma2, gen)
+        prior_inv = _prior_precision(spec, inv_scales)
+        beta, sigma2 = _block_sampler(spec, ws, kernel)(state.beta, prior_inv, gen)
     return ChainState(beta=beta, sigma2=sigma2, scales=_scales_of(spec, inv_scales))
 
 
@@ -307,33 +345,34 @@ def run_chain(kernel: KernelKind, spec: ModelSpec, dataset: Dataset,
 
     beta = state.beta
     sigma2 = state.sigma2
-    inv_scales = _inv_scales_of(spec, state.scales)
-    frozen_prior = _prior_precision(spec, inv_scales) if freeze_scales else None
+    gen = rng.generator
+    latent = _latent_sampler(spec)
+    block = _block_sampler(spec, ws, kernel)
+    if freeze_scales:
+        prior_inv = _prior_precision(spec, _inv_scales_of(spec, state.scales))
 
     n_keep = (config.n_iter - config.burn_in) // config.thin
     sigma2_draws = np.empty(n_keep)
     beta_draws = np.empty((n_keep, ws.p)) if config.store_beta else None
 
     _kernels.warm_up()  # keep JIT compilation out of the timed loop
-    t0 = time.perf_counter()
-    for it in range(config.n_iter):
-        try:
-            if freeze_scales:
-                prior_inv = frozen_prior
-            else:
-                inv_scales = _latent_update(spec, ws, beta, sigma2, rng)
-                prior_inv = _prior_precision(spec, inv_scales)
-            beta, sigma2 = _block_update(spec, ws, kernel, beta, prior_inv, rng)
-        except (ValueError, FactorizationError) as exc:
-            raise SamplerError(it, str(exc)) from exc
-        if not (math.isfinite(sigma2) and np.all(np.isfinite(beta))):
-            raise SamplerError(it, "non-finite draw")
-        k = it - config.burn_in
-        if k >= 0 and k % config.thin == config.thin - 1:
-            sigma2_draws[k // config.thin] = sigma2
-            if beta_draws is not None:
-                beta_draws[k // config.thin] = beta
-    wall = time.perf_counter() - t0
+    with np.errstate(**_QUIET):
+        t0 = time.perf_counter()
+        for it in range(config.n_iter):
+            try:
+                if not freeze_scales:
+                    prior_inv = _prior_precision(spec, latent(beta, sigma2, gen))
+                beta, sigma2 = block(beta, prior_inv, gen)
+            except (ValueError, FactorizationError) as exc:
+                raise SamplerError(it, str(exc)) from exc
+            if not (math.isfinite(sigma2) and np.isfinite(beta).all()):
+                raise SamplerError(it, "non-finite draw")
+            k = it - config.burn_in
+            if k >= 0 and k % config.thin == config.thin - 1:
+                sigma2_draws[k // config.thin] = sigma2
+                if beta_draws is not None:
+                    beta_draws[k // config.thin] = beta
+        wall = time.perf_counter() - t0
 
     return ChainOutput(sigma2_draws=sigma2_draws, beta_draws=beta_draws,
                        wall_time_seconds=wall, kernel=kernel, model=spec,

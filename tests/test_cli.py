@@ -149,6 +149,28 @@ def test_run_requires_exactly_one_data_source(tmp_path, capsys):
     assert main(base + ["--data", path, "--scenario", "s1", "--n", "4"]) == 2
 
 
+@pytest.mark.parametrize("chain", [["--iters", "50", "--burnin", "0"],
+                                   ["--iters", "1000", "--burnin", "0", "--thin", "20"]])
+def test_run_too_few_kept_draws_exits_2(capsys, chain):
+    code = main(["run", "--model", "group-lasso", "--kernel", "2bg",
+                 "--scenario", "s1", "--n", "20", "--K", "2", "--lambda", "1",
+                 *chain])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "keeps 50 draws" in err and "at least 100" in err
+    assert "Traceback" not in err
+
+
+def test_bench_too_few_kept_draws_exits_2(tmp_path, capsys):
+    code = main(["bench", "--model", "group-lasso", "--scenario", "s1",
+                 "--n", "20", "--K", "1", "--reps", "1", "--iters", "99",
+                 "--burnin", "0", "--out-raw", str(tmp_path / "r.csv"),
+                 "--out-agg", str(tmp_path / "a.csv")])
+    assert code == 2
+    assert "keeps 99 draws" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_run_bad_flag_exits_2():
     assert main(["run", "--model", "no-such-model", "--kernel", "2bg"]) == 2
 

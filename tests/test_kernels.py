@@ -1,6 +1,10 @@
-"""Parity between the numba kernels and the pure-numpy fallback."""
+"""Parity between the numba kernels, the scalar loops and the numpy versions."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockgibbs import _kernels
 
@@ -56,14 +60,76 @@ def test_ig_transform_zero_normal_takes_limit():
     assert np.isfinite(out[1])
 
 
+# Mean parameters over the whole non-negative range, with the values the
+# sampler produces at its edges (an all-zero block gives inf) weighted up.
+MU = st.one_of(st.floats(min_value=0.0, max_value=math.inf),
+               st.sampled_from([math.inf, 1e-300, 5e-324, 1e300, 1.0]))
+NORMAL = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.floats(min_value=-8.0, max_value=8.0),
+                   st.just(0.0))
+UNIFORM = st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                    st.sampled_from([0.0, 1.0]))
+LAM = st.floats(min_value=1e-300, max_value=1e300)
+
+
+@st.composite
+def transform_inputs(draw):
+    q = draw(st.integers(min_value=1, max_value=32))
+
+    def column(elements):
+        return np.array(draw(st.lists(elements, min_size=q, max_size=q)))
+
+    return column(MU), draw(LAM), column(NORMAL), column(UNIFORM)
+
+
+@settings(max_examples=400, deadline=None)
+@given(transform_inputs())
+def test_ig_transform_loop_equals_numpy_exactly(inputs):
+    mu, lam, z, u = inputs
+    expected = _kernels.ig_transform_numpy(mu, lam, z, u)
+    np.testing.assert_array_equal(_kernels.ig_transform_short(mu, lam, z, u),
+                                  expected)
+    np.testing.assert_array_equal(
+        _kernels._ig_transform_loop(mu.tolist(), lam, z.tolist(), u.tolist()),
+        expected)
+    with np.errstate(all="ignore"):  # numpy scalars, as the numba loop sees
+        from_arrays = _kernels._ig_transform_loop(mu, lam, z, u)
+    np.testing.assert_array_equal(from_arrays, expected)
+
+
+def test_ig_transform_short_dispatches_on_length(monkeypatch):
+    calls = []
+    monkeypatch.setattr(_kernels, "ig_transform_numpy",
+                        lambda *args: calls.append(args[0].shape[0]))
+    for q in (1, _kernels.SHORT_VECTOR_MAX, _kernels.SHORT_VECTOR_MAX + 1, 32):
+        ones = np.ones(q)
+        _kernels.ig_transform_short(ones, 1.0, ones, 0.5 * ones)
+    assert calls == [_kernels.SHORT_VECTOR_MAX + 1, 32]
+
+
+def test_ig_transform_infinite_mean_zero_uniform_rejects():
+    # u * (inf + x) is nan at u = 0, so the draw takes the mu^2 / x branch
+    mu = np.array([np.inf, np.inf])
+    z = np.array([0.5, 0.0])
+    u = np.array([0.0, 0.0])
+    out = _kernels.ig_transform_numpy(mu, 3.0, z, u)
+    assert out[0] == np.inf and np.isnan(out[1])
+    np.testing.assert_array_equal(
+        _kernels._ig_transform_loop(mu.tolist(), 3.0, z.tolist(), u.tolist()), out)
+
+
 @needs_numba
 def test_ig_transform_parity():
     rng, _, _, _ = _inputs()
     mu = np.abs(rng.standard_normal(512)) + 1e-3
     mu[::13] = np.inf
+    mu[1::29] = 1e300
+    mu[2::31] = 1e-300
     z = rng.standard_normal(512)
     z[::17] = 0.0
     u = rng.random(512)
+    u[::11] = 0.0
+    u[1::19] = 1.0
     a = _kernels.ig_transform_numpy(mu, 2.5, z, u)
     b = _kernels.ig_transform_numba(mu, 2.5, z, u)
     np.testing.assert_array_equal(a, b)

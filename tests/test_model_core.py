@@ -8,6 +8,7 @@ from blockgibbs import (
     LatentScales,
     ModelKind,
     ModelSpec,
+    SymmetricTridiagonal,
     assemble_posterior_precision,
     beta_conditional_params,
     build_fused_precision,
@@ -16,6 +17,8 @@ from blockgibbs import (
     conditional_sigma2_params,
     marginal_sigma2_params,
 )
+from blockgibbs._linalg import cholesky_spd
+from blockgibbs.model_core import add_prior_precision
 
 
 def groups_of(*sizes):
@@ -184,6 +187,50 @@ def test_assemble_symmetric_positive_definite():
         a = assemble_posterior_precision(ds, prior_inv)
         np.testing.assert_allclose(a, a.T, atol=1e-12)
         assert np.all(np.linalg.eigvalsh(a) > 0)
+
+
+def _priors(rng, p):
+    b = rng.standard_normal((p, p))
+    return {
+        "diagonal": rng.uniform(0.2, 3.0, p),
+        "tridiagonal": SymmetricTridiagonal(rng.uniform(2.0, 3.0, p),
+                                            rng.uniform(-0.5, 0.5, p - 1)),
+        "dense": b @ b.T + np.eye(p),
+    }
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "tridiagonal", "dense"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_add_prior_precision_into_workspace_equals_copy(kind, order):
+    rng = np.random.default_rng(12)
+    for p in (1, 2, 3, 7):
+        x = rng.standard_normal((p + 4, p))
+        gram = x.T @ x
+        prior = _priors(rng, p)[kind]
+        out = np.full((p, p), np.nan, order=order)
+        a = add_prior_precision(np.asarray(gram, order=order), prior, out=out)
+        assert a is out
+        np.testing.assert_array_equal(a, add_prior_precision(gram, prior))
+
+
+def test_add_prior_precision_rejects_strided_workspace():
+    gram = np.eye(3)
+    with pytest.raises(ValueError, match="contiguous"):
+        add_prior_precision(gram, np.ones(3), out=np.empty((3, 6))[:, ::2])
+    with pytest.raises(ValueError, match="contiguous"):
+        add_prior_precision(gram, np.ones(3), out=np.empty((2, 2)))
+
+
+def test_cholesky_overwrite_factors_in_place():
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((9, 5))
+    gram = np.asfortranarray(x.T @ x)
+    work = np.empty_like(gram, order="F")
+    a = add_prior_precision(gram, np.ones(5), out=work)
+    expected = np.tril(cholesky_spd(a.copy()))
+    chol = cholesky_spd(a, overwrite=True)
+    assert np.shares_memory(chol, work)
+    np.testing.assert_array_equal(np.tril(chol), expected)
 
 
 def test_marginal_sigma2_zero_design():

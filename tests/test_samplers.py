@@ -6,6 +6,7 @@ import pytest
 from blockgibbs import (
     ChainState,
     Dataset,
+    FactorizationError,
     GroupStructure,
     KernelKind,
     LatentScales,
@@ -27,6 +28,7 @@ from blockgibbs import (
     step_2bg_sparse_group,
     step_3bg_sparse_group,
 )
+from blockgibbs import samplers
 from blockgibbs.diagnostics import autocorr
 
 
@@ -291,6 +293,45 @@ def test_run_chain_factors_once_per_iteration():
     reset_factorization_count()
     run_chain(KernelKind.TWO_BLOCK, spec, ds, RunConfig(n_iter=37, burn_in=0, seed=1))
     assert factorization_count() == 37
+
+
+@pytest.mark.parametrize("kernel", list(KernelKind))
+def test_factor_reuses_one_workspace_array(monkeypatch, kernel):
+    # the posterior precision is assembled and factored in place, in the same
+    # Fortran-ordered array on every iteration
+    ds, spec = small_group_problem()
+    seen = []
+    real = samplers.cholesky_spd
+
+    def recording(a, *args, **kwargs):
+        chol = real(a, *args, **kwargs)
+        seen.append((a, np.shares_memory(chol, a), a.flags.f_contiguous))
+        return chol
+
+    monkeypatch.setattr(samplers, "cholesky_spd", recording)
+    run_chain(kernel, spec, ds, RunConfig(n_iter=5, burn_in=0, seed=3))
+    assert len(seen) == 5
+    assert all(a is seen[0][0] and shared and fortran for a, shared, fortran in seen)
+
+
+def test_float_error_state_restored_after_failed_chain(monkeypatch):
+    ds, spec = small_group_problem()
+    calls = []
+    real = samplers.cholesky_spd
+
+    def failing_third(a, *args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise FactorizationError("posterior precision", "injected")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(samplers, "cholesky_spd", failing_third)
+    with np.errstate(divide="raise", over="warn", under="warn", invalid="print"):
+        before = np.geterr()
+        with pytest.raises(SamplerError, match="iteration 2"):
+            run_chain(KernelKind.TWO_BLOCK, spec, ds,
+                      RunConfig(n_iter=10, burn_in=0, seed=4))
+        assert np.geterr() == before
 
 
 def _square(v):
