@@ -2,7 +2,7 @@
 
 Thin wrappers over the LAPACK/BLAS routines with per-call overhead kept low
 (these sit inside the per-iteration sampler loop). The factorization counter
-exists so tests can assert how many O(p^3) factorizations a Gibbs step
+exists so tests can assert how many Cholesky factorizations a Gibbs step
 performs (the two-block kernels must do exactly one per iteration). The
 counter is plain module state, meant for single-threaded test
 instrumentation.
@@ -18,7 +18,7 @@ from .errors import FactorizationError
 
 _f64 = np.empty(0, dtype=np.float64)
 _potrf, = get_lapack_funcs(("potrf",), (_f64,))
-_trsv, = get_blas_funcs(("trsv",), (_f64,))
+_trsv, _syrk = get_blas_funcs(("trsv", "syrk"), (_f64,))
 
 _factorizations = 0
 
@@ -47,6 +47,15 @@ def cholesky_spd(a: np.ndarray, name: str = "matrix",
     if info != 0:
         raise FactorizationError(name, f"LAPACK potrf info={info}")
     return c
+
+
+def syrk_lower(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Lower triangle of a a^T, written in place into the Fortran-ordered `out`.
+
+    A C-ordered `a` reaches BLAS as its Fortran-ordered transpose, without a
+    copy. The upper triangle of `out` is left as it was.
+    """
+    return _syrk(1.0, a.T, beta=0.0, c=out, trans=1, lower=1, overwrite_c=1)
 
 
 def solve_lower(chol_lower: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -286,6 +286,7 @@ def _report_dict(output: ChainOutput) -> dict:
         "seed": output.seed,
         "iters": output.config.n_iter,
         "burnin": output.config.burn_in,
+        "block_update": output.block_update,
         "rho1": rep.rho1,
         "ess": rep.ess,
         "wall_time_seconds": output.wall_time_seconds,
@@ -312,6 +313,7 @@ def _write_draws_csv(output: ChainOutput, path: str) -> None:
 def _cmd_run(args) -> int:
     if (args.data is None) == (args.scenario is None):
         raise UsageError("provide exactly one of --data or --scenario")
+    config = _resolve_run_config(args, store_beta=args.store_beta)
     if args.data is not None:
         group_sizes = _parse_group_sizes(args.groups) if args.groups else None
         dataset, groups = read_dataset_csv(args.data, args.y_col, group_sizes)
@@ -323,7 +325,6 @@ def _cmd_run(args) -> int:
         dataset, groups = sim.dataset, sim.groups
 
     model = _resolve_model(args, groups)
-    config = _resolve_run_config(args, store_beta=args.store_beta)
     try:
         model.validate_for(dataset)
     except (ValueError, DimensionMismatchError) as exc:

@@ -12,6 +12,7 @@ Covariance structure conventions:
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -113,8 +114,10 @@ class ModelSpec:
     groups: GroupStructure | None = None
 
     def __post_init__(self):
-        if self.alpha < 0 or self.xi < 0:
-            raise ValueError("alpha and xi must be non-negative")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.xi)
+                and self.alpha >= 0 and self.xi >= 0):
+            raise ValueError(f"alpha and xi must be finite and non-negative, "
+                             f"got alpha={self.alpha}, xi={self.xi}")
         if self.kind is ModelKind.GROUP_LASSO:
             self._positive("lam", self.lam)
             self._need_groups()
@@ -128,8 +131,8 @@ class ModelSpec:
 
     @staticmethod
     def _positive(name: str, value: float | None) -> None:
-        if value is None or not value > 0:
-            raise ValueError(f"{name} must be > 0, got {value}")
+        if value is None or not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be > 0 and finite, got {value}")
 
     def _need_groups(self) -> None:
         if self.groups is None:

@@ -9,13 +9,24 @@ residual variance is drawn afterwards:
 * three-block: residual variance from its conditional given the incoming
   coefficients and the fresh scales, then the coefficients.
 
-Either way a step performs exactly one Cholesky factorization of the
-posterior precision, reused for the variance draw (two-block) and for the
-coefficient mean and noise solves.
+Either way a step performs exactly one Cholesky factorization, reused for
+the variance draw (two-block) and for the coefficient draw. Which matrix is
+factored is decided once per chain from the model and the data shape:
+
+* dense update (every model when p <= n, the fused lasso at any p): the
+  p x p posterior precision X^T X + Q, with Q the prior precision;
+* n-space update (group and sparse group lasso when p > n, where Q is
+  diagonal with D = Q^-1): the n x n matrix I + X D X^T, following
+  Bhattacharya, Chakraborty & Mallick (2016, Biometrika 103(4)). The
+  two-block scale is the sum of squares 0.5 ||L^-1 y||^2 + xi.
 
 Draw-order contract per step (fixed for reproducibility): group scales
 first, then per-coefficient / per-difference scales, then the residual
-variance, then the coefficient noise vector.
+variance (one gamma draw), then the coefficient noise. The dense update
+draws p standard normals z for the noise; the n-space update makes one
+standard_normal(p + n) call whose first p values are xi and last n are
+delta, and sets u = sigma sqrt(D) xi, v = X u + sigma delta and
+beta = u + D X^T (I + X D X^T)^-1 (y - v).
 """
 from __future__ import annotations
 
@@ -28,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._linalg import cholesky_spd, solve_lower, solve_lower_t
+from ._linalg import cholesky_spd, solve_lower, solve_lower_t, syrk_lower
 from .errors import FactorizationError, SamplerError
 from .model_core import (
     ChainState,
@@ -81,6 +92,8 @@ class RunConfig:
                 f"burn_in={self.burn_in}, n_iter={self.n_iter}")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -89,6 +102,8 @@ class ChainOutput:
 
     `wall_time_seconds` covers the iteration loop only (burn-in included),
     measured on a monotonic clock; dataset generation and I/O are excluded.
+    `block_update` names the (sigma2, beta) update the chain ran: "dense" or
+    "nspace".
     """
 
     sigma2_draws: np.ndarray
@@ -100,6 +115,7 @@ class ChainOutput:
     n: int
     p: int
     config: RunConfig
+    block_update: str
 
 
 # The chain loop runs with every floating-point warning off: an all-zero
@@ -109,31 +125,47 @@ class ChainOutput:
 _QUIET = dict(all="ignore")
 
 
+def _block_update(spec: ModelSpec, dataset: Dataset) -> str:
+    """The block update a chain runs: "nspace" for the group models when p > n."""
+    if spec.kind is not ModelKind.FUSED_LASSO and dataset.p > dataset.n:
+        return "nspace"
+    return "dense"
+
+
 @dataclass(frozen=True)
 class _Workspace:
-    """Per-dataset precomputations shared by every iteration.
+    """Per-dataset precomputations and scratch shared by every iteration.
 
-    `gram` is kept in Fortran order so that copying it into the scratch
-    array `a`, where each iteration assembles the posterior precision and
-    LAPACK factors it in place, is one contiguous copy.
+    The dense update keeps `gram` in Fortran order so that copying it into
+    the scratch array `a`, where each iteration assembles the posterior
+    precision and LAPACK factors it in place, is one contiguous copy. The
+    n-space update builds neither: it writes X sqrt(D) into the n x p
+    scratch `xs` and assembles and factors I + X D X^T in the Fortran-ordered
+    n x n scratch `m`.
     """
 
     x: np.ndarray
     y: np.ndarray
-    gram: np.ndarray
-    xty: np.ndarray
-    yty: float
     n: int
     p: int
-    a: np.ndarray
+    update: str
+    gram: np.ndarray | None = None
+    xty: np.ndarray | None = None
+    yty: float | None = None
+    a: np.ndarray | None = None
+    xs: np.ndarray | None = None
+    m: np.ndarray | None = None
 
     @classmethod
-    def build(cls, dataset: Dataset) -> "_Workspace":
-        gram = np.asfortranarray(dataset.x.T @ dataset.x)
-        return cls(x=dataset.x, y=dataset.y, gram=gram,
-                   xty=dataset.x.T @ dataset.y,
-                   yty=float(dataset.y @ dataset.y),
-                   n=dataset.n, p=dataset.p, a=np.empty_like(gram, order="F"))
+    def build(cls, dataset: Dataset, update: str) -> "_Workspace":
+        x, y = dataset.x, dataset.y
+        common = dict(x=x, y=y, n=dataset.n, p=dataset.p, update=update)
+        if update == "nspace":
+            return cls(**common, xs=np.empty_like(x),
+                       m=np.zeros((dataset.n, dataset.n), order="F"))
+        gram = np.asfortranarray(x.T @ x)
+        return cls(**common, gram=gram, xty=x.T @ y, yty=float(y @ y),
+                   a=np.empty_like(gram, order="F"))
 
 
 def _ig_draws(lam_sq: float, sigma2: float, sq: np.ndarray,
@@ -196,19 +228,47 @@ def _prior_precision(spec: ModelSpec, inv_scales: tuple[np.ndarray, ...]):
     return SymmetricTridiagonal(diag, off)
 
 
+def _gamma_shape(spec: ModelSpec, ws: _Workspace, two_block: bool) -> float:
+    if two_block:
+        return 0.5 * ws.n + spec.alpha
+    return 0.5 * (ws.n + ws.p + 2.0 * spec.alpha)
+
+
+def _full_conditional_scale(ws: _Workspace, xi: float, beta, prior_inv) -> float:
+    """Three-block sigma2 scale: 0.5 (||y - X beta||^2 + beta^T Q beta) + xi."""
+    resid = ws.y - ws.x @ beta
+    if isinstance(prior_inv, SymmetricTridiagonal):
+        quad = _kernels.tridiag_quad_form(prior_inv.diag, prior_inv.off, beta)
+    else:
+        quad = float(prior_inv @ (beta * beta))
+    return 0.5 * (float(resid @ resid) + quad + 2.0 * xi)
+
+
+def _checked_scale(scale: float) -> float:
+    if scale <= 0.0:
+        raise ValueError(f"non-positive residual-variance scale {scale}")
+    return scale
+
+
 def _block_sampler(spec: ModelSpec, ws: _Workspace, kernel: KernelKind):
     """Draw of (sigma2, beta) given the fresh scales; one factorization total.
 
-    Returns `draw(beta, prior_inv, gen) -> (new_beta, sigma2)` with the
-    kernel branch and the gamma shape resolved once. The posterior precision
-    is assembled in `ws.a` and factored in place there.
+    Returns `draw(beta, prior_inv, gen) -> (new_beta, sigma2)` for the block
+    update the workspace was built for.
+    """
+    if ws.update == "nspace":
+        return _nspace_block_sampler(spec, ws, kernel)
+    return _dense_block_sampler(spec, ws, kernel)
+
+
+def _dense_block_sampler(spec: ModelSpec, ws: _Workspace, kernel: KernelKind):
+    """Block update through the p x p posterior precision.
+
+    The kernel branch and the gamma shape are resolved once. The posterior
+    precision is assembled in `ws.a` and factored in place there.
     """
     two_block = kernel is KernelKind.TWO_BLOCK
-    fused = spec.kind is ModelKind.FUSED_LASSO
-    if two_block:
-        shape = 0.5 * ws.n + spec.alpha
-    else:
-        shape = 0.5 * (ws.n + ws.p + 2.0 * spec.alpha)
+    shape = _gamma_shape(spec, ws, two_block)
     xi = spec.xi
 
     def draw(beta, prior_inv, gen):
@@ -218,19 +278,52 @@ def _block_sampler(spec: ModelSpec, ws: _Workspace, kernel: KernelKind):
         if two_block:
             scale = 0.5 * (ws.yty - float(u @ u)) + xi
         else:
-            resid = ws.y - ws.x @ beta
-            if fused:
-                quad = _kernels.tridiag_quad_form(prior_inv.diag, prior_inv.off, beta)
-            else:
-                quad = float(prior_inv @ (beta * beta))
-            scale = 0.5 * (float(resid @ resid) + quad + 2.0 * xi)
-        if scale <= 0.0:
-            raise ValueError(f"non-positive residual-variance scale {scale}")
-        sigma2 = scale / gen.gamma(shape)
+            scale = _full_conditional_scale(ws, xi, beta, prior_inv)
+        sigma2 = _checked_scale(scale) / gen.gamma(shape)
         mean = solve_lower_t(chol, u)
         z = gen.standard_normal(ws.p)
         new_beta = mean + math.sqrt(sigma2) * solve_lower_t(chol, z)
         return new_beta, float(sigma2)
+
+    return draw
+
+
+def _nspace_block_sampler(spec: ModelSpec, ws: _Workspace, kernel: KernelKind):
+    """Block update through the n x n matrix I + X D X^T (diagonal priors only).
+
+    With D = 1 / prior_inv and L the Cholesky factor of I + X D X^T, the
+    two-block scale is 0.5 ||L^-1 y||^2 + xi and, with xi and delta standard
+    normal, beta = u + D X^T L^-T L^-1 (y - X u - sigma delta) for
+    u = sigma sqrt(D) xi has the dense update's mean and covariance. The
+    matrix is formed by one syrk on X sqrt(D) in `ws.xs` and factored in
+    place in `ws.m`.
+    """
+    two_block = kernel is KernelKind.TWO_BLOCK
+    shape = _gamma_shape(spec, ws, two_block)
+    xi = spec.xi
+    x, y, xs, m, p = ws.x, ws.y, ws.xs, ws.m, ws.p
+    # the diagonal sits at the same flat stride in C and in Fortran order
+    m_diag = m.ravel(order="K")[::ws.n + 1]
+
+    def draw(beta, prior_inv, gen):
+        d = 1.0 / prior_inv
+        sqrt_d = np.sqrt(d)
+        np.multiply(x, sqrt_d, out=xs)
+        syrk_lower(xs, m)
+        np.add(m_diag, 1.0, out=m_diag)
+        chol = cholesky_spd(m, "n-space matrix I + X D X^T", overwrite=True)
+        if two_block:
+            ly = solve_lower(chol, y)
+            scale = 0.5 * float(ly @ ly) + xi
+        else:
+            scale = _full_conditional_scale(ws, xi, beta, prior_inv)
+        sigma2 = _checked_scale(scale) / gen.gamma(shape)
+        sigma = math.sqrt(sigma2)
+        z = gen.standard_normal(p + ws.n)
+        u = (sigma * sqrt_d) * z[:p]
+        v = x @ u + sigma * z[p:]
+        w = solve_lower_t(chol, solve_lower(chol, y - v))
+        return u + d * (x.T @ w), float(sigma2)
 
     return draw
 
@@ -254,7 +347,7 @@ def _scales_of(spec: ModelSpec, inv_scales: tuple[np.ndarray, ...]) -> LatentSca
 def _step(kernel: KernelKind, state: ChainState, dataset: Dataset,
           spec: ModelSpec, rng: RngStream) -> ChainState:
     spec.validate_for(dataset)
-    ws = _Workspace.build(dataset)
+    ws = _Workspace.build(dataset, _block_update(spec, dataset))
     gen = rng.generator
     with np.errstate(**_QUIET):
         inv_scales = _latent_sampler(spec)(state.beta, state.sigma2, gen)
@@ -339,7 +432,7 @@ def run_chain(kernel: KernelKind, spec: ModelSpec, dataset: Dataset,
     """
     kernel = KernelKind(kernel)
     spec.validate_for(dataset)
-    ws = _Workspace.build(dataset)
+    ws = _Workspace.build(dataset, _block_update(spec, dataset))
     state = initial_chain_state(spec, dataset) if initial_state is None else initial_state
     rng = RngStream(config.seed) if rng is None else rng
 
@@ -376,7 +469,8 @@ def run_chain(kernel: KernelKind, spec: ModelSpec, dataset: Dataset,
 
     return ChainOutput(sigma2_draws=sigma2_draws, beta_draws=beta_draws,
                        wall_time_seconds=wall, kernel=kernel, model=spec,
-                       seed=rng.seed, n=ws.n, p=ws.p, config=config)
+                       seed=rng.seed, n=ws.n, p=ws.p, config=config,
+                       block_update=ws.update)
 
 
 def map_jobs(worker, items, jobs: int = 1) -> list:

@@ -56,6 +56,9 @@ class ScenarioSpec:
         if self.n < 1 or self.p < 1:
             raise ValueError("n and p must be positive")
         if self.scenario is Scenario.ADJACENT_SIMILAR:
+            if self.n < 2:
+                raise ValueError(f"scenario s2 standardizes columns and needs "
+                                 f"n >= 2, got {self.n}")
             if self.p % 10 != 0:
                 raise ValueError(f"scenario s2 needs p divisible by 10, got {self.p}")
         elif self.p % 5 != 0:

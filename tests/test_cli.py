@@ -1,9 +1,13 @@
+import contextlib
 import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from blockgibbs import Dataset, RngStream, gen_scenario1
 from blockgibbs.cli import (
@@ -87,7 +91,8 @@ def test_dataset_csv_round_trip(tmp_path):
 # ---------------------------------------------------------------------------
 
 RUN_REPORT_KEYS = {
-    "model", "kernel", "n", "p", "seed", "iters", "burnin", "rho1", "ess",
+    "model", "kernel", "n", "p", "seed", "iters", "burnin", "block_update",
+    "rho1", "ess",
     "wall_time_seconds", "ess_per_second", "sigma2_mean", "sigma2_q025",
     "sigma2_q975",
 }
@@ -106,6 +111,7 @@ def test_run_scenario_writes_report(tmp_path):
     assert data["kernel"] == "2bg"
     assert (data["n"], data["p"]) == (30, 10)
     assert data["seed"] == 7 and data["iters"] == 400 and data["burnin"] == 100
+    assert data["block_update"] == "dense"
     assert math.isfinite(data["rho1"]) and data["ess"] > 0
     assert data["ess_per_second"] > 0 and data["sigma2_mean"] > 0
 
@@ -169,6 +175,91 @@ def test_bench_too_few_kept_draws_exits_2(tmp_path, capsys):
     assert code == 2
     assert "keeps 99 draws" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--lambda", "1", "--xi", "nan"],
+    ["--lambda", "inf"],
+    ["--lambda", "nan"],
+    ["--lambda", "1", "--alpha", "inf"],
+])
+def test_run_non_finite_hyperparameters_exit_2(capsys, flags):
+    code = main(["run", "--model", "group-lasso", "--kernel", "2bg",
+                 "--scenario", "s1", "--n", "20", "--K", "2",
+                 "--iters", "300", "--burnin", "0", *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
+
+
+def test_run_single_row_s2_exits_2(capsys):
+    code = main(["run", "--model", "fused-lasso", "--kernel", "2bg",
+                 "--scenario", "s2", "--n", "1", "--p", "10",
+                 "--lambda1", "1", "--lambda2", "1",
+                 "--iters", "300", "--burnin", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "n >= 2" in err and "Traceback" not in err
+
+
+def test_run_negative_seed_exits_2(capsys):
+    code = main(["run", "--model", "group-lasso", "--kernel", "2bg",
+                 "--scenario", "s1", "--n", "20", "--K", "2", "--lambda", "1",
+                 "--iters", "300", "--burnin", "0", "--seed", "-1"])
+    assert code == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model,update", [("group-lasso", "nspace"),
+                                          ("sparse-group-lasso", "nspace"),
+                                          ("fused-lasso", "dense")])
+def test_run_report_names_block_update_for_p_above_n(capsys, model, update):
+    code = main(["run", "--model", model, "--kernel", "3bg",
+                 "--scenario", "wide", "--n", "8", "--p", "20", "--lambda", "1",
+                 "--lambda1", "1", "--lambda2", "1",
+                 "--iters", "300", "--burnin", "50"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["block_update"] == update
+
+
+GOOD_VALUES = st.sampled_from([1e-3, 0.5, 1.0, 4.0])
+BAD_VALUES = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(model=st.sampled_from(["group-lasso", "sparse-group-lasso", "fused-lasso"]),
+       kernel=st.sampled_from(["2bg", "3bg"]),
+       scenario=st.sampled_from(["s1", "s2", "wide", "tall"]),
+       n=st.integers(-1, 12), dim=st.sampled_from([-5, 0, 3, 5, 10, 10, 20, 20]),
+       hyper=st.fixed_dictionaries({"lambda": GOOD_VALUES, "lambda1": GOOD_VALUES,
+                                    "lambda2": GOOD_VALUES,
+                                    "alpha": st.sampled_from([0.0, 1.0]),
+                                    "xi": st.sampled_from([0.0, 0.5])}),
+       bad=st.sampled_from([None, None, "lambda", "lambda1", "lambda2", "alpha", "xi"]),
+       bad_value=BAD_VALUES,
+       chain=st.sampled_from([(200, 0, 1), (150, 20, 1), (120, 0, 1), (200, 0, 2),
+                              (0, 0, 1), (99, 0, 1), (130, -1, 1), (200, 0, 0)]))
+def test_run_exit_code_property(model, kernel, scenario, n, dim, hyper, bad,
+                                bad_value, chain):
+    # any combination of run arguments ends in 0, 2 or 3, never a traceback;
+    # at most one hyperparameter is made invalid, so that most runs get as
+    # far as the sampler; scenario s1 reads dim as K (p = 5K) and the others
+    # as p, so p > n occurs
+    if bad is not None:
+        hyper[bad] = bad_value
+    iters, burnin, thin = chain
+    argv = ["run", "--model", model, "--kernel", kernel, "--scenario", scenario,
+            "--n", str(n), "--K" if scenario == "s1" else "--p", str(dim),
+            "--iters", str(iters), "--burnin", str(burnin), "--thin", str(thin)]
+    argv += [f"--{name}={value}" for name, value in hyper.items()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert json.loads(out.getvalue())["iters"] == iters
 
 
 def test_run_bad_flag_exits_2():

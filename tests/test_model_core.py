@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,20 @@ def test_model_spec_requires_penalties():
         ModelSpec.fused_lasso(1.0, 0.0)
     with pytest.raises(ValueError, match="non-negative"):
         ModelSpec.fused_lasso(1.0, 1.0, alpha=-0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_model_spec_rejects_non_finite_hyperparameters(bad):
+    g = groups_of(2, 1)
+    for make in (lambda: ModelSpec.group_lasso(bad, g),
+                 lambda: ModelSpec.sparse_group_lasso(1.0, bad, g),
+                 lambda: ModelSpec.sparse_group_lasso(bad, 1.0, g),
+                 lambda: ModelSpec.fused_lasso(bad, 1.0),
+                 lambda: ModelSpec.fused_lasso(1.0, bad),
+                 lambda: ModelSpec.group_lasso(1.0, g, alpha=bad),
+                 lambda: ModelSpec.fused_lasso(1.0, 1.0, xi=bad)):
+        with pytest.raises(ValueError, match="finite"):
+            make()
 
 
 def test_fused_needs_two_coefficients():

@@ -3,13 +3,16 @@
 Every model runs under both kernels on the tiny acceptance instances
 (latent vectors of length 1 or 2, the short-vector transform path) and on
 an identity-design instance with nine groups and ten coefficients (every
-latent vector longer than eight, the vectorized transform path). A change
-to the sampler that alters any stored sigma2 or beta draw, even in the last
-bit, fails here.
+latent vector longer than eight, the vectorized transform path). The group
+and sparse group models also run on a wide instance with five rows and the
+same ten coefficients, where p > n selects the n-space block update. A
+change to the sampler that alters any stored sigma2 or beta draw, even in
+the last bit, fails here.
 
-The designs are stacked identity blocks or single unit columns, so the gram
-matrix, the posterior precision and the Cholesky factor involve no
-accumulated BLAS rounding; the digests still assume IEEE double arithmetic
+The designs are stacked or side-by-side identity blocks or single unit
+columns, so the gram matrix, the n-space matrix I + X D X^T (diagonal,
+each entry one plus a sum of two squares), the Cholesky factor and every
+matrix-vector product involve no accumulated BLAS rounding; the digests still assume IEEE double arithmetic
 as numpy and OpenBLAS perform it on x86-64. Regenerate them only for a
 deliberate change of the draw-order contract:
 
@@ -44,8 +47,16 @@ def nine_groups():
     return Dataset(y=np.concatenate([a, b]), x=x), GroupStructure(np.array([1] * 8 + [2]))
 
 
+def wide_pairs():
+    # two identity blocks side by side: beta_j and beta_{j+5} share row j
+    x = np.hstack([np.eye(5)] * 2)
+    y = np.array([1.0, -0.5, 2.0, 0.25, -1.5])
+    return Dataset(y=y, x=x), GroupStructure(np.array([1] * 8 + [2]))
+
+
 INSTANCES = {"tiny": (tiny_group_instance, tiny_fused),
-             "nine_groups": (nine_groups, nine_groups)}
+             "nine_groups": (nine_groups, nine_groups),
+             "wide": (wide_pairs, None)}
 
 
 def _spec(model, groups):
@@ -81,6 +92,11 @@ PINNED = {
     ("nine_groups", "sparse", "3bg"): "d2ede5a667bfa62096bddb2853725e29",
     ("nine_groups", "fused", "2bg"): "6d26ff47ec551fdc346dbd6d3a67d15d",
     ("nine_groups", "fused", "3bg"): "8fa3d6922bbea915c3cd12a78ac164ce",
+    # generated with the n-space block update (p > n) when it went in
+    ("wide", "group", "2bg"): "d6cb15bfa4199a5f95c34f9745c030a1",
+    ("wide", "group", "3bg"): "384ac39028fb0655dab94cb624d2023d",
+    ("wide", "sparse", "2bg"): "087f91cd787ce56d5f30dbd149645921",
+    ("wide", "sparse", "3bg"): "14282719db5645366a501ed053f43a34",
 }
 
 

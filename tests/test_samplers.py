@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from blockgibbs import (
     step_3bg_sparse_group,
 )
 from blockgibbs import samplers
+from blockgibbs._linalg import cholesky_spd, solve_lower
 from blockgibbs.diagnostics import autocorr
 
 
@@ -332,6 +334,166 @@ def test_float_error_state_restored_after_failed_chain(monkeypatch):
             run_chain(KernelKind.TWO_BLOCK, spec, ds,
                       RunConfig(n_iter=10, burn_in=0, seed=4))
         assert np.geterr() == before
+
+
+# ---------------------------------------------------------------------------
+# block update dispatch and the n-space (p > n) update
+# ---------------------------------------------------------------------------
+
+class BasisGenerator:
+    """Stub generator: gamma draws 1 and the normals are zero or one unit vector.
+
+    With it a block update returns sigma2 = its scale, and beta is the mean
+    map (no `unit`) or the mean plus one column of the noise map (`unit = j`).
+    """
+
+    def __init__(self, unit=None):
+        self.unit = unit
+
+    def gamma(self, shape):
+        return 1.0
+
+    def standard_normal(self, size):
+        z = np.zeros(size)
+        if self.unit is not None:
+            z[self.unit] = 1.0
+        return z
+
+
+def affine_maps(update, spec, ds, kernel, beta, prior_inv):
+    """(mean, sigma2, B B^T) of one block update, read off through BasisGenerator."""
+    ws = samplers._Workspace.build(ds, update)
+    sampler = {"dense": samplers._dense_block_sampler,
+               "nspace": samplers._nspace_block_sampler}[update]
+    draw = sampler(spec, ws, kernel)
+    mean, sigma2 = draw(beta, prior_inv, BasisGenerator())
+    n_normals = ds.p if update == "dense" else ds.p + ds.n
+    cols = [draw(beta, prior_inv, BasisGenerator(j))[0] - mean
+            for j in range(n_normals)]
+    noise = np.column_stack(cols)
+    return mean, sigma2, noise @ noise.T
+
+
+def wide_group_problem(seed, model, n=7, p=12):
+    rng = np.random.default_rng(seed)
+    ds = Dataset(y=rng.standard_normal(n), x=rng.standard_normal((n, p)))
+    groups = GroupStructure(np.array([3, 4, 2, 3]))
+    if model == "group":
+        spec = ModelSpec.group_lasso(1.0, groups, alpha=0.5, xi=0.25)
+        inv_scales = (rng.uniform(0.3, 3.0, 4),)
+    else:
+        spec = ModelSpec.sparse_group_lasso(1.0, 1.0, groups, alpha=0.5, xi=0.25)
+        inv_scales = (rng.uniform(0.3, 3.0, 4), rng.uniform(0.3, 3.0, p))
+    prior_inv = samplers._prior_precision(spec, inv_scales)
+    return ds, spec, prior_inv, rng.standard_normal(p)
+
+
+@pytest.mark.parametrize("kernel", list(KernelKind))
+@pytest.mark.parametrize("model", ["group", "sparse"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_nspace_update_has_the_dense_affine_maps(seed, model, kernel):
+    # exact equality of the mean map, the covariance map B B^T = sigma2 A^-1
+    # and the sigma2 scale, not Monte Carlo agreement
+    ds, spec, prior_inv, beta = wide_group_problem(seed, model)
+    mean_d, sigma2_d, cov_d = affine_maps("dense", spec, ds, kernel, beta, prior_inv)
+    mean_n, sigma2_n, cov_n = affine_maps("nspace", spec, ds, kernel, beta, prior_inv)
+    np.testing.assert_allclose(sigma2_n, sigma2_d, rtol=1e-10)
+    np.testing.assert_allclose(mean_n, mean_d, rtol=1e-10)
+    np.testing.assert_allclose(cov_n, cov_d, rtol=1e-10, atol=1e-13)
+    a = ds.x.T @ ds.x + np.diag(prior_inv)
+    np.testing.assert_allclose(cov_n, sigma2_n * np.linalg.inv(a), rtol=1e-10, atol=1e-13)
+
+
+def exact_marginal_scale(x, y, prior_inv):
+    """0.5 y^T (I + X D X^T)^-1 y in rational arithmetic, D = diag(1 / prior_inv)."""
+    n, p = x.shape
+    m = [[Fraction(int(i == j)) + sum(Fraction(x[i, k]) * Fraction(x[j, k])
+                                      / Fraction(prior_inv[k]) for k in range(p))
+          for j in range(n)] for i in range(n)]
+    b = [Fraction(v) for v in y]
+    for c in range(n):
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            m[r] = [a - f * pivot for a, pivot in zip(m[r], m[c])]
+            b[r] -= f * b[c]
+    sol = [Fraction(0)] * n
+    for r in reversed(range(n)):
+        sol[r] = (b[r] - sum(m[r][k] * sol[k] for k in range(r + 1, n))) / m[r][r]
+    return Fraction(1, 2) * sum(Fraction(v) * w for v, w in zip(y, sol))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_nspace_scale_near_interpolation(seed):
+    # p > n with a nearly flat prior: the fit almost interpolates y, and the
+    # two-block scale is a tiny positive number that yty - u.u mostly cancels
+    rng = np.random.default_rng(seed)
+    ds = Dataset(y=rng.standard_normal(3), x=rng.standard_normal((3, 5)))
+    spec = ModelSpec.group_lasso(1.0, GroupStructure(np.array([2, 3])))
+    prior_inv = np.full(5, 1e-8)
+    exact = exact_marginal_scale(ds.x, ds.y, prior_inv)
+    ws = samplers._Workspace.build(ds, "nspace")
+    _, scale = samplers._nspace_block_sampler(spec, ws, KernelKind.TWO_BLOCK)(
+        np.zeros(5), prior_inv, BasisGenerator())
+    u = solve_lower(cholesky_spd(ds.x.T @ ds.x + np.diag(prior_inv)), ds.x.T @ ds.y)
+    difference = 0.5 * (ds.y @ ds.y - u @ u)
+    err_nspace = abs(Fraction(scale) - exact) / exact
+    err_difference = abs(Fraction(difference) - exact) / exact
+    assert scale > 0.0
+    assert err_nspace < 1e-12
+    assert err_nspace < err_difference
+
+
+@pytest.mark.parametrize("model,n,p,update", [
+    ("group", 12, 12, "dense"),
+    ("sparse", 13, 12, "dense"),
+    ("group", 7, 12, "nspace"),
+    ("sparse", 7, 12, "nspace"),
+    ("fused", 7, 12, "dense"),
+    ("fused", 12, 12, "dense"),
+])
+def test_block_update_dispatch(model, n, p, update):
+    rng = np.random.default_rng(5)
+    ds = Dataset(y=rng.standard_normal(n), x=rng.standard_normal((n, p)))
+    groups = GroupStructure(np.array([3, 4, 2, 3]))
+    spec = {"group": ModelSpec.group_lasso(1.0, groups),
+            "sparse": ModelSpec.sparse_group_lasso(1.0, 1.0, groups),
+            "fused": ModelSpec.fused_lasso(1.0, 1.0)}[model]
+    out = run_chain(KernelKind.TWO_BLOCK, spec, ds, RunConfig(n_iter=5, burn_in=0, seed=1))
+    assert out.block_update == update
+
+
+@pytest.mark.parametrize("kernel", list(KernelKind))
+def test_nspace_factors_order_n_in_one_workspace_array(monkeypatch, kernel):
+    # one factorization per iteration, of the n x n matrix, assembled and
+    # factored in place in the same Fortran-ordered array every time
+    ds, spec, _, _ = wide_group_problem(3, "sparse")
+    seen = []
+    real = samplers.cholesky_spd
+
+    def recording(a, *args, **kwargs):
+        chol = real(a, *args, **kwargs)
+        seen.append((a, a.shape, np.shares_memory(chol, a), a.flags.f_contiguous))
+        return chol
+
+    monkeypatch.setattr(samplers, "cholesky_spd", recording)
+    reset_factorization_count()
+    out = run_chain(kernel, spec, ds, RunConfig(n_iter=6, burn_in=0, seed=3))
+    assert out.block_update == "nspace"
+    assert factorization_count() == len(seen) == 6
+    assert all(a is seen[0][0] and shape == (ds.n, ds.n) and shared and fortran
+               for a, shape, shared, fortran in seen)
+
+
+@pytest.mark.parametrize("step", [step_2bg_group, step_3bg_group])
+def test_step_wrappers_take_the_nspace_update(monkeypatch, step):
+    ds, spec, _, _ = wide_group_problem(4, "group")
+    orders = []
+    real = samplers.cholesky_spd
+    monkeypatch.setattr(samplers, "cholesky_spd",
+                        lambda a, *args, **kw: orders.append(a.shape) or real(a, *args, **kw))
+    new = step(initial_chain_state(spec, ds), ds, spec, RngStream(9))
+    assert orders == [(ds.n, ds.n)]
+    assert new.beta.shape == (ds.p,) and new.sigma2 > 0.0
 
 
 def _square(v):
