@@ -4,7 +4,6 @@ Two-block and three-block Gibbs kernels for the Bayesian group lasso,
 sparse group lasso, and fused lasso, plus mixing diagnostics, synthetic
 data generators, and a benchmarking CLI.
 """
-from ._kernels import BACKEND as kernel_backend
 from ._linalg import factorization_count, reset_factorization_count
 from .diagnostics import (
     DiagnosticsReport,
@@ -22,7 +21,6 @@ from .errors import (
     SamplerError,
 )
 from .model_core import (
-    BetaConditional,
     ChainState,
     Dataset,
     GroupStructure,
@@ -30,13 +28,6 @@ from .model_core import (
     ModelKind,
     ModelSpec,
     SymmetricTridiagonal,
-    assemble_posterior_precision,
-    beta_conditional_params,
-    build_fused_precision,
-    build_group_cov,
-    build_sparse_group_cov,
-    conditional_sigma2_params,
-    marginal_sigma2_params,
 )
 from .rng_dist import (
     RngStream,
@@ -44,7 +35,6 @@ from .rng_dist import (
     sample_inverse_gamma,
     sample_inverse_gaussian,
     sample_inverse_gaussian_vector,
-    sample_mvn_precision,
     sample_std_normal,
     sample_student_t,
 )
@@ -55,12 +45,8 @@ from .samplers import (
     initial_chain_state,
     map_jobs,
     run_chain,
-    step_2bg_fused,
-    step_2bg_group,
-    step_2bg_sparse_group,
-    step_3bg_fused,
-    step_3bg_group,
-    step_3bg_sparse_group,
+    sample_mvn_precision,
+    step,
 )
 from .simgen import (
     Scenario,
@@ -74,3 +60,6 @@ from .simgen import (
 )
 
 __version__ = "0.1.0"
+
+# the name of the kernel implementation; the kernels are plain numpy
+kernel_backend = "numpy"

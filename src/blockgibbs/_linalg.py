@@ -10,7 +10,6 @@ instrumentation.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.blas import get_blas_funcs
 from scipy.linalg.lapack import get_lapack_funcs
 
@@ -59,16 +58,10 @@ def syrk_lower(a: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def solve_lower(chol_lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L x = b for lower-triangular L."""
-    if b.ndim == 1:
-        return _trsv(chol_lower, b, lower=1, trans=0)
-    return scipy.linalg.solve_triangular(chol_lower, b, lower=True,
-                                         check_finite=False)
+    """Solve L x = b for lower-triangular L and a vector b."""
+    return _trsv(chol_lower, b, lower=1, trans=0)
 
 
 def solve_lower_t(chol_lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L^T x = b for lower-triangular L."""
-    if b.ndim == 1:
-        return _trsv(chol_lower, b, lower=1, trans=1)
-    return scipy.linalg.solve_triangular(chol_lower, b, lower=True, trans="T",
-                                         check_finite=False)
+    """Solve L^T x = b for lower-triangular L and a vector b."""
+    return _trsv(chol_lower, b, lower=1, trans=1)

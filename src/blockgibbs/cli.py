@@ -357,22 +357,21 @@ AGG_COLUMNS = ["model", "kernel", "n", "p", "reps_ok", "rho1_mean", "rho1_se",
 
 @dataclass(frozen=True)
 class BenchGrid:
-    """A validated benchmark grid: model, kernels, cells, replications."""
+    """A validated benchmark grid: model, kernels, cells, replications.
+
+    `models` holds the model of each cell, in the order of `cells`.
+    """
 
     model: str
     scenario: str
     kernels: tuple[str, ...]
     cells: tuple[tuple[int, int], ...]
+    models: tuple[ModelSpec, ...]
     reps: int
     n_iter: int
     burn_in: int
     thin: int
     master_seed: int
-    alpha: float
-    xi: float
-    lam: float | None
-    lam1: float | None
-    lam2: float | None
 
     def __post_init__(self):
         if self.reps < 1:
@@ -382,11 +381,6 @@ class BenchGrid:
         for k in self.kernels:
             if k not in {kk.value for kk in KernelKind}:
                 raise UsageError(f"unknown kernel '{k}'")
-        for n, p in self.cells:
-            try:
-                ScenarioSpec(Scenario(self.scenario), n, p, seed=0)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -427,16 +421,6 @@ def _derive_seed(*entropy: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _grid_model(grid: BenchGrid, groups: GroupStructure | None) -> ModelSpec:
-    kind = ModelKind(grid.model)
-    if kind is ModelKind.GROUP_LASSO:
-        return ModelSpec.group_lasso(grid.lam, groups, grid.alpha, grid.xi)
-    if kind is ModelKind.SPARSE_GROUP_LASSO:
-        return ModelSpec.sparse_group_lasso(grid.lam1, grid.lam2, groups,
-                                            grid.alpha, grid.xi)
-    return ModelSpec.fused_lasso(grid.lam1, grid.lam2, grid.alpha, grid.xi)
-
-
 def _run_bench_job(job: tuple[BenchGrid, int, int]) -> list[BenchRow]:
     """One replication: generate the dataset once, run every kernel on it."""
     grid, cell_index, rep = job
@@ -449,10 +433,10 @@ def _run_bench_job(job: tuple[BenchGrid, int, int]) -> list[BenchRow]:
         base = dict(model=grid.model, kernel=kernel, scenario=grid.scenario,
                     n=n, p=p, rep=rep, seed=chain_seed)
         try:
-            model = _grid_model(grid, sim.groups)
             config = RunConfig(n_iter=grid.n_iter, burn_in=grid.burn_in,
                                seed=chain_seed, thin=grid.thin)
-            output = run_chain(KernelKind(kernel), model, sim.dataset, config)
+            output = run_chain(KernelKind(kernel), grid.models[cell_index],
+                               sim.dataset, config)
             rep_diag = diagnose(output)
             rows.append(BenchRow(**base, rho1=rep_diag.rho1, ess=rep_diag.ess,
                                  wall_time_seconds=output.wall_time_seconds,
@@ -516,13 +500,18 @@ def _grid_from_args(args) -> BenchGrid:
         raise UsageError("scenario s2 has no group structure; "
                          "use s1/wide/tall for the group models")
     config = _resolve_run_config(args)
+    cells = _bench_cells(args)
+    try:
+        specs = [ScenarioSpec(Scenario(args.scenario), n, p) for n, p in cells]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    # the models are resolved, and so checked, before any job starts
+    models = tuple(_resolve_model(args, spec.groups) for spec in specs)
     return BenchGrid(
         model=args.model, scenario=args.scenario,
         kernels=tuple(k.strip() for k in args.kernels.split(",") if k.strip()),
-        cells=_bench_cells(args), reps=args.reps, n_iter=config.n_iter,
-        burn_in=config.burn_in, thin=config.thin, master_seed=args.seed,
-        alpha=args.alpha, xi=args.xi, lam=args.lam, lam1=args.lambda1,
-        lam2=args.lambda2)
+        cells=cells, models=models, reps=args.reps, n_iter=config.n_iter,
+        burn_in=config.burn_in, thin=config.thin, master_seed=args.seed)
 
 
 def run_bench(args) -> tuple[list[BenchRow], list[dict]]:

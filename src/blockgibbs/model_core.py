@@ -1,4 +1,4 @@
-"""Shrinkage-model data types and the shared deterministic constructions.
+"""Shrinkage-model data types and the posterior-precision assembly.
 
 Covariance structure conventions:
 
@@ -13,18 +13,11 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from ._linalg import cholesky_spd, solve_lower, solve_lower_t
 from .errors import DimensionMismatchError
-
-# Scales below this floor would overflow their reciprocals; raising beats
-# silently clamping a degenerate chain state.
-SCALE_FLOOR = 1e-300
 
 
 class ModelKind(str, enum.Enum):
@@ -220,192 +213,31 @@ class SymmetricTridiagonal:
         return m
 
 
-def _check_scales(name: str, values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    if np.any(values < SCALE_FLOOR):
-        raise ValueError(
-            f"{name} contains entries below {SCALE_FLOOR:g}; refusing to invert "
-            "a numerically degenerate scale")
-    return values
-
-
-def build_group_cov(scales: LatentScales, groups: GroupStructure) -> np.ndarray:
-    """Diagonal of the group-lasso prior covariance: tau_k^2 repeated m_k times.
-
-    Returns the diagonal as a length-p vector; the dense matrix is never
-    materialized.
-    """
-    tau2 = _check_scales("tau2", scales.tau2)
-    if tau2.shape[0] != groups.n_groups:
-        raise DimensionMismatchError("tau2 length vs group count",
-                                     groups.n_groups, tau2.shape[0])
-    return _kernels.expand_by_group(tau2, groups.group_sizes)
-
-
-def build_sparse_group_cov(scales: LatentScales, groups: GroupStructure) -> np.ndarray:
-    """Diagonal of the sparse-group prior covariance.
-
-    Entry j of group k is (1/tau_k^2 + 1/gamma_j^2)^-1.
-    """
-    tau2 = _check_scales("tau2", scales.tau2)
-    if tau2.shape[0] != groups.n_groups:
-        raise DimensionMismatchError("tau2 length vs group count",
-                                     groups.n_groups, tau2.shape[0])
-    if scales.gamma2 is None:
-        raise ValueError("sparse-group covariance needs gamma2 scales")
-    gamma2 = _check_scales("gamma2", scales.gamma2)
-    if gamma2.shape[0] != groups.total_size:
-        raise DimensionMismatchError("gamma2 length vs coefficient count",
-                                     groups.total_size, gamma2.shape[0])
-    inv_tau_rep = _kernels.expand_by_group(1.0 / tau2, groups.group_sizes)
-    return 1.0 / (inv_tau_rep + 1.0 / gamma2)
-
-
-def build_fused_precision(scales: LatentScales) -> SymmetricTridiagonal:
-    """Tridiagonal prior precision of the fused model.
-
-    Diagonal entry j is 1/tau_j^2 + 1/omega_{j-1}^2 + 1/omega_j^2 with the
-    boundary omega terms dropped at j = 1 and j = p; off-diagonal entry
-    (j, j+1) is -1/omega_j^2.
-    """
-    tau2 = _check_scales("tau2", scales.tau2)
-    p = tau2.shape[0]
-    if p < 2:
-        raise ValueError(f"fused precision needs p >= 2, got p={p}")
-    if scales.omega2 is None:
-        raise ValueError("fused precision needs omega2 scales")
-    omega2 = _check_scales("omega2", scales.omega2)
-    if omega2.shape[0] != p - 1:
-        raise DimensionMismatchError("omega2 length vs p-1", p - 1, omega2.shape[0])
-    diag, off = _kernels.fused_bands(1.0 / tau2, 1.0 / omega2)
-    return SymmetricTridiagonal(diag, off)
-
-
 def add_prior_precision(gram: np.ndarray,
                         prior_inv: np.ndarray | SymmetricTridiagonal,
-                        out: np.ndarray | None = None) -> np.ndarray:
-    """X^T X plus a prior precision given as a diagonal, bands, or dense matrix.
+                        out: np.ndarray) -> np.ndarray:
+    """X^T X plus a prior precision given as a diagonal or as bands, into `out`.
 
-    The sum is written to `out`, a C- or Fortran-contiguous p x p array, when
-    given, and to a fresh copy of `gram` otherwise; the bands are added
+    `out` is a C- or Fortran-contiguous p x p array; the bands are added
     through strided flat views, so a reused `out` keeps this allocation-free
     in the sampler loop.
     """
     p = gram.shape[0]
-    if out is None:
-        a = gram.copy()
-    elif out.shape != gram.shape or not (out.flags.c_contiguous
-                                         or out.flags.f_contiguous):
+    if out.shape != gram.shape or not (out.flags.c_contiguous
+                                       or out.flags.f_contiguous):
         raise ValueError("out must be a contiguous array shaped like gram")
-    else:
-        a = out
-        np.copyto(a, gram)
+    np.copyto(out, gram)
     # a view in memory order: the diagonal and the two bands sit at the same
     # flat strides in C and in Fortran order
-    flat = a.ravel(order="K")
+    flat = out.ravel(order="K")
     if isinstance(prior_inv, SymmetricTridiagonal):
-        if prior_inv.diag.shape[0] != p:
-            raise DimensionMismatchError("prior precision size vs p",
-                                         p, prior_inv.diag.shape[0])
-        flat[::p + 1] += prior_inv.diag
-        flat[1::p + 1] += prior_inv.off
-        flat[p::p + 1] += prior_inv.off
-        return a
-    prior_inv = np.asarray(prior_inv, dtype=np.float64)
-    if prior_inv.ndim == 1:
-        if prior_inv.shape[0] != p:
-            raise DimensionMismatchError("prior precision size vs p",
-                                         p, prior_inv.shape[0])
-        flat[::p + 1] += prior_inv
-        return a
-    if prior_inv.shape != (p, p):
-        raise DimensionMismatchError("prior precision size vs p",
-                                     p, prior_inv.shape[0])
-    a += prior_inv
-    return a
-
-
-def assemble_posterior_precision(dataset: Dataset,
-                                 prior_cov_inverse) -> np.ndarray:
-    """Posterior precision of the coefficients: X^T X + prior precision."""
-    gram = dataset.x.T @ dataset.x
-    return add_prior_precision(gram, prior_cov_inverse)
-
-
-def prior_quad_form(prior_inv, beta: np.ndarray) -> float:
-    """beta^T (prior precision) beta for any of the supported representations."""
-    if isinstance(prior_inv, SymmetricTridiagonal):
-        return _kernels.tridiag_quad_form(prior_inv.diag, prior_inv.off, beta)
-    prior_inv = np.asarray(prior_inv, dtype=np.float64)
-    if prior_inv.ndim == 1:
-        return float(prior_inv @ (beta * beta))
-    return float(beta @ prior_inv @ beta)
-
-
-def marginal_sigma2_params(dataset: Dataset, prior_cov_inverse, alpha: float,
-                           xi: float) -> tuple[float, float]:
-    """Inverse-Gamma parameters of the residual variance given only the scales.
-
-    shape = n/2 + alpha, scale = Y^T (I - X A^-1 X^T) Y / 2 + xi, computed
-    as (Y^T Y - ||L^-1 X^T Y||^2) / 2 + xi from one Cholesky factor of A.
-    """
-    a = assemble_posterior_precision(dataset, prior_cov_inverse)
-    chol = cholesky_spd(a, "posterior precision")
-    u = solve_lower(chol, dataset.x.T @ dataset.y)
-    yty = float(dataset.y @ dataset.y)
-    scale = 0.5 * (yty - float(u @ u)) + xi
-    shape = 0.5 * dataset.n + alpha
-    if scale <= 0.0:
-        raise ValueError(
-            "residual-variance scale parameter is non-positive; supply xi > 0 "
-            "or a response outside the fitted column space")
-    if xi == 0.0 and scale < 1e-12 * max(yty, 1.0):
-        warnings.warn("residual-variance scale parameter is nearly zero; "
-                      "draws may be numerically degenerate", RuntimeWarning)
-    return shape, scale
-
-
-def conditional_sigma2_params(dataset: Dataset, beta: np.ndarray,
-                              prior_cov_inverse, alpha: float,
-                              xi: float) -> tuple[float, float]:
-    """Inverse-Gamma parameters of the residual variance given the coefficients.
-
-    shape = (n + p + 2 alpha)/2,
-    scale = (||Y - X beta||^2 + beta^T (prior precision) beta + 2 xi)/2.
-    """
-    beta = np.asarray(beta, dtype=np.float64)
-    resid = dataset.y - dataset.x @ beta
-    scale = 0.5 * (float(resid @ resid) + prior_quad_form(prior_cov_inverse, beta)
-                   + 2.0 * xi)
-    shape = 0.5 * (dataset.n + dataset.p + 2.0 * alpha)
-    if scale <= 0.0:
-        raise ValueError(
-            "residual-variance scale parameter is non-positive (exact fit with "
-            "zero coefficients and xi = 0)")
-    return shape, scale
-
-
-@dataclass(frozen=True)
-class BetaConditional:
-    """Gaussian conditional of the coefficients, kept in precision form."""
-
-    mean: np.ndarray
-    precision: np.ndarray
-    sigma2: float
-
-    def covariance(self) -> np.ndarray:
-        """Materialize sigma2 * precision^-1 (only on request)."""
-        chol = cholesky_spd(self.precision, "posterior precision")
-        inv = solve_lower_t(chol, solve_lower(chol, np.eye(self.precision.shape[0])))
-        return self.sigma2 * inv
-
-
-def beta_conditional_params(dataset: Dataset, prior_cov_inverse,
-                            sigma2: float) -> BetaConditional:
-    """Mean A^-1 X^T Y and covariance sigma2 * A^-1, without forming A^-1."""
-    if not sigma2 > 0:
-        raise ValueError(f"sigma2 must be > 0, got {sigma2}")
-    a = assemble_posterior_precision(dataset, prior_cov_inverse)
-    chol = cholesky_spd(a, "posterior precision")
-    mean = solve_lower_t(chol, solve_lower(chol, dataset.x.T @ dataset.y))
-    return BetaConditional(mean=mean, precision=a, sigma2=float(sigma2))
+        diag, off = prior_inv.diag, prior_inv.off
+    else:
+        diag, off = prior_inv, None
+    if diag.shape != (p,):
+        raise DimensionMismatchError("prior precision size vs p", p, np.size(diag))
+    flat[::p + 1] += diag
+    if off is not None:
+        flat[1::p + 1] += off
+        flat[p::p + 1] += off
+    return out

@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from . import _kernels
-from ._linalg import cholesky_spd, solve_lower, solve_lower_t
 
 __all__ = [
     "RngStream",
@@ -24,7 +23,6 @@ __all__ = [
     "sample_inverse_gamma",
     "sample_inverse_gaussian",
     "sample_inverse_gaussian_vector",
-    "sample_mvn_precision",
 ]
 
 
@@ -122,18 +120,3 @@ def sample_inverse_gaussian_vector(mu: np.ndarray, lam: float,
     normals = rng.generator.standard_normal(mu.shape[0])
     uniforms = rng.generator.random(mu.shape[0])
     return _kernels.ig_transform(mu, float(lam), normals, uniforms)
-
-
-def sample_mvn_precision(b: np.ndarray, precision: np.ndarray, sigma2: float,
-                         rng: RngStream) -> np.ndarray:
-    """Draw from N(A^-1 b, sigma2 * A^-1) given the precision matrix A.
-
-    One Cholesky factorization; the mean and the noise term each reuse the
-    factor through triangular solves, so no inverse is formed.
-    """
-    _require_positive(sigma2=sigma2)
-    b = np.asarray(b, dtype=np.float64)
-    chol = cholesky_spd(np.asarray(precision, dtype=np.float64), "precision")
-    mean = solve_lower_t(chol, solve_lower(chol, b))
-    z = rng.generator.standard_normal(b.shape[0])
-    return mean + math.sqrt(sigma2) * solve_lower_t(chol, z)

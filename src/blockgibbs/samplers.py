@@ -10,8 +10,14 @@ residual variance is drawn afterwards:
   coefficients and the fresh scales, then the coefficients.
 
 Either way a step performs exactly one Cholesky factorization, reused for
-the variance draw (two-block) and for the coefficient draw. Which matrix is
-factored is decided once per chain from the model and the data shape:
+the variance draw (two-block) and for the coefficient draw. Each
+conditional is written once, here: the prior precision from the latent
+scales (`_prior_precision`), the two residual-variance scales and the
+coefficient draw. `step` runs one iteration of the same code as `run_chain`,
+and `sample_mvn_precision` makes the dense update's coefficient draw.
+
+Which matrix is factored is decided once per chain from the model and the
+data shape:
 
 * dense update (every model when p <= n, the fused lasso at any p): the
   p x p posterior precision X^T X + Q, with Q the prior precision;
@@ -40,7 +46,7 @@ import numpy as np
 
 from . import _kernels
 from ._linalg import cholesky_spd, solve_lower, solve_lower_t, syrk_lower
-from .errors import FactorizationError, SamplerError
+from .errors import DimensionMismatchError, FactorizationError, SamplerError
 from .model_core import (
     ChainState,
     Dataset,
@@ -50,7 +56,7 @@ from .model_core import (
     add_prior_precision,
     SymmetricTridiagonal,
 )
-from .rng_dist import RngStream
+from .rng_dist import RngStream, _require_positive
 
 __all__ = [
     "KernelKind",
@@ -59,12 +65,8 @@ __all__ = [
     "run_chain",
     "initial_chain_state",
     "map_jobs",
-    "step_2bg_group",
-    "step_3bg_group",
-    "step_2bg_sparse_group",
-    "step_3bg_sparse_group",
-    "step_2bg_fused",
-    "step_3bg_fused",
+    "sample_mvn_precision",
+    "step",
 ]
 
 
@@ -250,6 +252,30 @@ def _checked_scale(scale: float) -> float:
     return scale
 
 
+def _beta_from_factor(chol: np.ndarray, u: np.ndarray, sigma2: float,
+                      gen: np.random.Generator) -> np.ndarray:
+    """Draw from N(A^-1 b, sigma2 A^-1) given A = L L^T and u = L^-1 b.
+
+    The mean L^-T u plus sqrt(sigma2) L^-T z for z = standard_normal(p).
+    """
+    mean = solve_lower_t(chol, u)
+    z = gen.standard_normal(u.shape[0])
+    return mean + math.sqrt(sigma2) * solve_lower_t(chol, z)
+
+
+def sample_mvn_precision(b: np.ndarray, precision: np.ndarray, sigma2: float,
+                         rng: RngStream) -> np.ndarray:
+    """Draw from N(A^-1 b, sigma2 * A^-1) given the precision matrix A.
+
+    One Cholesky factorization, reused by the mean and the noise term; the
+    draw is the dense block update's coefficient draw.
+    """
+    _require_positive(sigma2=sigma2)
+    b = np.asarray(b, dtype=np.float64)
+    chol = cholesky_spd(np.asarray(precision, dtype=np.float64), "precision")
+    return _beta_from_factor(chol, solve_lower(chol, b), sigma2, rng.generator)
+
+
 def _block_sampler(spec: ModelSpec, ws: _Workspace, kernel: KernelKind):
     """Draw of (sigma2, beta) given the fresh scales; one factorization total.
 
@@ -280,10 +306,7 @@ def _dense_block_sampler(spec: ModelSpec, ws: _Workspace, kernel: KernelKind):
         else:
             scale = _full_conditional_scale(ws, xi, beta, prior_inv)
         sigma2 = _checked_scale(scale) / gen.gamma(shape)
-        mean = solve_lower_t(chol, u)
-        z = gen.standard_normal(ws.p)
-        new_beta = mean + math.sqrt(sigma2) * solve_lower_t(chol, z)
-        return new_beta, float(sigma2)
+        return _beta_from_factor(chol, u, sigma2, gen), float(sigma2)
 
     return draw
 
@@ -328,79 +351,55 @@ def _nspace_block_sampler(spec: ModelSpec, ws: _Workspace, kernel: KernelKind):
     return draw
 
 
-def _inv_scales_of(spec: ModelSpec, scales: LatentScales) -> tuple[np.ndarray, ...]:
+def _scale_sizes(spec: ModelSpec, p: int) -> dict[str, int]:
+    """The model's latent-scale vectors and their lengths, in draw order."""
+    if spec.kind is ModelKind.FUSED_LASSO:
+        return {"tau2": p, "omega2": p - 1}
     if spec.kind is ModelKind.GROUP_LASSO:
-        return (1.0 / scales.tau2,)
-    if spec.kind is ModelKind.SPARSE_GROUP_LASSO:
-        return (1.0 / scales.tau2, 1.0 / scales.gamma2)
-    return (1.0 / scales.tau2, 1.0 / scales.omega2)
+        return {"tau2": spec.groups.n_groups}
+    return {"tau2": spec.groups.n_groups, "gamma2": p}
 
 
-def _scales_of(spec: ModelSpec, inv_scales: tuple[np.ndarray, ...]) -> LatentScales:
-    if spec.kind is ModelKind.GROUP_LASSO:
-        return LatentScales(tau2=1.0 / inv_scales[0])
-    if spec.kind is ModelKind.SPARSE_GROUP_LASSO:
-        return LatentScales(tau2=1.0 / inv_scales[0], gamma2=1.0 / inv_scales[1])
-    return LatentScales(tau2=1.0 / inv_scales[0], omega2=1.0 / inv_scales[1])
+def _inv_scales_of(spec: ModelSpec, scales: LatentScales, p: int) -> tuple[np.ndarray, ...]:
+    return tuple(1.0 / getattr(scales, name) for name in _scale_sizes(spec, p))
 
 
-def _step(kernel: KernelKind, state: ChainState, dataset: Dataset,
-          spec: ModelSpec, rng: RngStream) -> ChainState:
+def _scales_of(spec: ModelSpec, inv_scales: tuple[np.ndarray, ...], p: int) -> LatentScales:
+    return LatentScales(**{name: 1.0 / inv
+                           for name, inv in zip(_scale_sizes(spec, p), inv_scales)})
+
+
+def _check_state(spec: ModelSpec, state: ChainState, p: int) -> None:
+    """Reject a state whose coefficients or latent scales do not fit the model."""
+    if state.beta.shape != (p,):
+        raise DimensionMismatchError("beta length vs coefficient count",
+                                     p, state.beta.size)
+    for name, size in _scale_sizes(spec, p).items():
+        values = getattr(state.scales, name)
+        if values is None:
+            raise ValueError(f"a {spec.kind.value} state needs {name} scales")
+        if values.shape != (size,):
+            raise DimensionMismatchError(f"{name} length", size, values.size)
+
+
+def step(kernel: KernelKind, state: ChainState, dataset: Dataset,
+         spec: ModelSpec, rng: RngStream) -> ChainState:
+    """One Gibbs iteration of `kernel` ("2bg" or "3bg") from `state`.
+
+    Runs the chain loop's body: the same draws, in the same order, as one
+    iteration of `run_chain` from this state.
+    """
+    kernel = KernelKind(kernel)
     spec.validate_for(dataset)
+    _check_state(spec, state, dataset.p)
     ws = _Workspace.build(dataset, _block_update(spec, dataset))
     gen = rng.generator
     with np.errstate(**_QUIET):
         inv_scales = _latent_sampler(spec)(state.beta, state.sigma2, gen)
         prior_inv = _prior_precision(spec, inv_scales)
         beta, sigma2 = _block_sampler(spec, ws, kernel)(state.beta, prior_inv, gen)
-    return ChainState(beta=beta, sigma2=sigma2, scales=_scales_of(spec, inv_scales))
-
-
-def _checked_kind(spec: ModelSpec, kind: ModelKind) -> None:
-    if spec.kind is not kind:
-        raise ValueError(f"expected a {kind.value} ModelSpec, got {spec.kind.value}")
-
-
-def step_2bg_group(state: ChainState, dataset: Dataset, spec: ModelSpec,
-                   rng: RngStream) -> ChainState:
-    """One two-block step for the group lasso model."""
-    _checked_kind(spec, ModelKind.GROUP_LASSO)
-    return _step(KernelKind.TWO_BLOCK, state, dataset, spec, rng)
-
-
-def step_3bg_group(state: ChainState, dataset: Dataset, spec: ModelSpec,
-                   rng: RngStream) -> ChainState:
-    """One three-block step for the group lasso model."""
-    _checked_kind(spec, ModelKind.GROUP_LASSO)
-    return _step(KernelKind.THREE_BLOCK, state, dataset, spec, rng)
-
-
-def step_2bg_sparse_group(state: ChainState, dataset: Dataset, spec: ModelSpec,
-                          rng: RngStream) -> ChainState:
-    """One two-block step for the sparse group lasso model."""
-    _checked_kind(spec, ModelKind.SPARSE_GROUP_LASSO)
-    return _step(KernelKind.TWO_BLOCK, state, dataset, spec, rng)
-
-
-def step_3bg_sparse_group(state: ChainState, dataset: Dataset, spec: ModelSpec,
-                          rng: RngStream) -> ChainState:
-    """One three-block step for the sparse group lasso model."""
-    _checked_kind(spec, ModelKind.SPARSE_GROUP_LASSO)
-    return _step(KernelKind.THREE_BLOCK, state, dataset, spec, rng)
-
-
-def step_2bg_fused(state: ChainState, dataset: Dataset, spec: ModelSpec,
-                   rng: RngStream) -> ChainState:
-    """One two-block step for the fused lasso model."""
-    _checked_kind(spec, ModelKind.FUSED_LASSO)
-    return _step(KernelKind.TWO_BLOCK, state, dataset, spec, rng)
-
-
-def step_3bg_fused(state: ChainState, dataset: Dataset, spec: ModelSpec,
-                   rng: RngStream) -> ChainState:
-    """One three-block step for the fused lasso model."""
-    _checked_kind(spec, ModelKind.FUSED_LASSO)
-    return _step(KernelKind.THREE_BLOCK, state, dataset, spec, rng)
+    return ChainState(beta=beta, sigma2=sigma2,
+                      scales=_scales_of(spec, inv_scales, dataset.p))
 
 
 def initial_chain_state(spec: ModelSpec, dataset: Dataset) -> ChainState:
@@ -409,13 +408,8 @@ def initial_chain_state(spec: ModelSpec, dataset: Dataset) -> ChainState:
     sigma2 = float(np.var(dataset.y, ddof=1)) if dataset.n > 1 else 1.0
     if not (math.isfinite(sigma2) and sigma2 > 0.0):
         sigma2 = 1.0
-    if spec.kind is ModelKind.GROUP_LASSO:
-        scales = LatentScales(tau2=np.ones(spec.groups.n_groups))
-    elif spec.kind is ModelKind.SPARSE_GROUP_LASSO:
-        scales = LatentScales(tau2=np.ones(spec.groups.n_groups),
-                              gamma2=np.ones(p))
-    else:
-        scales = LatentScales(tau2=np.ones(p), omega2=np.ones(p - 1))
+    scales = LatentScales(**{name: np.ones(size)
+                             for name, size in _scale_sizes(spec, p).items()})
     return ChainState(beta=np.zeros(p), sigma2=sigma2, scales=scales)
 
 
@@ -432,8 +426,12 @@ def run_chain(kernel: KernelKind, spec: ModelSpec, dataset: Dataset,
     """
     kernel = KernelKind(kernel)
     spec.validate_for(dataset)
+    if initial_state is None:
+        state = initial_chain_state(spec, dataset)
+    else:
+        state = initial_state
+        _check_state(spec, state, dataset.p)
     ws = _Workspace.build(dataset, _block_update(spec, dataset))
-    state = initial_chain_state(spec, dataset) if initial_state is None else initial_state
     rng = RngStream(config.seed) if rng is None else rng
 
     beta = state.beta
@@ -442,13 +440,12 @@ def run_chain(kernel: KernelKind, spec: ModelSpec, dataset: Dataset,
     latent = _latent_sampler(spec)
     block = _block_sampler(spec, ws, kernel)
     if freeze_scales:
-        prior_inv = _prior_precision(spec, _inv_scales_of(spec, state.scales))
+        prior_inv = _prior_precision(spec, _inv_scales_of(spec, state.scales, ws.p))
 
     n_keep = (config.n_iter - config.burn_in) // config.thin
     sigma2_draws = np.empty(n_keep)
     beta_draws = np.empty((n_keep, ws.p)) if config.store_beta else None
 
-    _kernels.warm_up()  # keep JIT compilation out of the timed loop
     with np.errstate(**_QUIET):
         t0 = time.perf_counter()
         for it in range(config.n_iter):

@@ -65,6 +65,13 @@ class ScenarioSpec:
             raise ValueError(
                 f"scenario {self.scenario.value} needs p divisible by 5, got {self.p}")
 
+    @property
+    def groups(self) -> GroupStructure | None:
+        """The group structure of the generated data: groups of five, none for s2."""
+        if self.scenario is Scenario.ADJACENT_SIMILAR:
+            return None
+        return _groups_of_five(self.p // 5)
+
     def generate(self, rng: RngStream | None = None) -> SimulatedDataset:
         rng = RngStream(self.seed) if rng is None else rng
         if self.scenario is Scenario.GROUPED_POLY:
@@ -74,6 +81,10 @@ class ScenarioSpec:
         if self.scenario is Scenario.EXTRA_WIDE:
             return gen_extra_wide(self.n, self.p, rng)
         return gen_extra_tall(self.n, self.p, rng)
+
+
+def _groups_of_five(k: int) -> GroupStructure:
+    return GroupStructure(np.full(k, 5, dtype=np.int64))
 
 
 def _poly_design(n: int, k: int, rng: RngStream) -> np.ndarray:
@@ -96,7 +107,7 @@ def _grouped_poly(n: int, k: int, n_nonzero: int, rng: RngStream,
     if noise:
         y = y + rng.generator.standard_normal(n)
     return SimulatedDataset(dataset=Dataset(y=y, x=x), beta_star=beta_star,
-                            groups=GroupStructure(np.full(k, 5, dtype=np.int64)))
+                            groups=_groups_of_five(k))
 
 
 def gen_scenario1(n: int, k: int, rng: RngStream, *,

@@ -26,7 +26,6 @@ from blockgibbs import (
     RngStream,
     RunConfig,
     autocorr,
-    build_fused_precision,
     ess_univariate,
     factorization_count,
     initial_chain_state,
@@ -35,13 +34,11 @@ from blockgibbs import (
     sample_inverse_gamma,
     sample_inverse_gaussian,
     sample_mvn_precision,
-    step_2bg_group,
-    step_3bg_fused,
-    beta_conditional_params,
-    marginal_sigma2_params,
+    samplers,
+    step,
 )
 from blockgibbs.cli import main as cli_main
-from blockgibbs.samplers import step_2bg_sparse_group
+from block_stubs import block_draw
 
 # ---------------------------------------------------------------------------
 # tiny-instance posterior means from the quadrature oracles
@@ -334,41 +331,47 @@ def test_criterion_8_diagnostics_suite():
 def test_criterion_9_structural_invariants(tmp_path):
     # fused precision row sums collapse to the pure 1/tau2 terms
     rng = np.random.default_rng(91)
+    fused = ModelSpec.fused_lasso(1.0, 1.0)
     for _ in range(25):
         p = int(rng.integers(2, 15))
         tau2 = rng.uniform(0.05, 4.0, p)
         omega2 = rng.uniform(0.05, 4.0, p - 1)
-        tri = build_fused_precision(LatentScales(tau2=tau2, omega2=omega2))
+        tri = samplers._prior_precision(fused, (1.0 / tau2, 1.0 / omega2))
         np.testing.assert_allclose(tri.to_dense().sum(axis=1), 1.0 / tau2,
                                    rtol=1e-12)
     print("[criterion 9] fused row-sum identity holds")
 
-    # marginal-vs-conditional quadratic-form identity, 100 random instances
+    # marginal-vs-conditional quadratic-form identity, 100 random instances,
+    # through the chain's own two-block update (dense when p <= n, n-space
+    # when p > n): its sigma2 scale against its conditional mean of beta
+    updates = set()
     for _ in range(100):
         n, p = int(rng.integers(1, 12)), int(rng.integers(1, 10))
         ds = Dataset(y=rng.standard_normal(n), x=rng.standard_normal((n, p)))
         prior_inv = rng.uniform(0.2, 3.0, p)
-        _, scale = marginal_sigma2_params(ds, prior_inv, alpha=0.0, xi=0.0)
-        mean = beta_conditional_params(ds, prior_inv, 1.0).mean
+        spec = ModelSpec.group_lasso(1.0, GroupStructure(np.ones(p, dtype=np.int64)))
+        updates.add(samplers._block_update(spec, ds))
+        mean, scale = block_draw(spec, ds, KernelKind.TWO_BLOCK, np.zeros(p), prior_inv)
         resid = ds.y - ds.x @ mean
         rhs = 0.5 * (resid @ resid + prior_inv @ (mean * mean))
         assert scale == pytest.approx(rhs, rel=1e-8)
+    assert updates == {"dense", "nspace"}
     print("[criterion 9] quadratic-form identity holds to 1e-8 relative")
 
     # one factorization per step, both kernels
     rngx = np.random.default_rng(92)
     x = rngx.standard_normal((10, 4))
     ds = Dataset(y=rngx.standard_normal(10), x=x)
-    for spec, step in [
+    for spec, kernel in [
         (ModelSpec.group_lasso(1.0, GroupStructure(np.array([2, 2]))),
-         step_2bg_group),
+         KernelKind.TWO_BLOCK),
         (ModelSpec.sparse_group_lasso(1.0, 1.0, GroupStructure(np.array([2, 2]))),
-         step_2bg_sparse_group),
-        (ModelSpec.fused_lasso(1.0, 1.0), step_3bg_fused),
+         KernelKind.TWO_BLOCK),
+        (ModelSpec.fused_lasso(1.0, 1.0), KernelKind.THREE_BLOCK),
     ]:
         state = initial_chain_state(spec, ds)
         reset_factorization_count()
-        step(state, ds, spec, RngStream(5))
+        step(kernel, state, ds, spec, RngStream(5))
         assert factorization_count() == 1
     print("[criterion 9] exactly one factorization per Gibbs step")
 

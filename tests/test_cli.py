@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from blockgibbs import Dataset, RngStream, gen_scenario1
+from blockgibbs import Dataset, RngStream, SamplerError, cli, gen_scenario1
 from blockgibbs.cli import (
     UsageError,
     main,
@@ -192,6 +192,27 @@ def test_run_non_finite_hyperparameters_exit_2(capsys, flags):
     assert "finite" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--lambda", "nan"],
+    ["--lambda", "inf"],
+    ["--lambda", "0"],
+    ["--lambda", "-1"],
+    ["--xi", "nan"],
+    ["--alpha", "-1"],
+    ["--model", "sparse-group-lasso", "--lambda2", "inf"],
+    ["--model", "fused-lasso", "--scenario", "s2", "--p", "10", "--lambda1", "nan"],
+])
+def test_bench_bad_hyperparameters_exit_2_before_any_job(tmp_path, monkeypatch,
+                                                         capsys, flags):
+    monkeypatch.setattr(cli, "map_jobs", lambda *args, **kw: pytest.fail("a job ran"))
+    argv, raw, _ = bench_args(tmp_path, "h")
+    code = main(argv + flags)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be" in err and "Traceback" not in err
+    assert not raw.exists()
+
+
 def test_run_single_row_s2_exits_2(capsys):
     code = main(["run", "--model", "fused-lasso", "--kernel", "2bg",
                  "--scenario", "s2", "--n", "1", "--p", "10",
@@ -348,9 +369,13 @@ def test_bench_parallel_jobs_match_serial(tmp_path):
     assert rows1 == rows2
 
 
-def test_bench_records_failures_and_exit_code(tmp_path):
-    # a negative alpha is rejected inside every job: all rows fail -> exit 3
-    argv, raw, _ = bench_args(tmp_path, "e", extra=["--alpha", "-1"])
+def test_bench_records_failures_and_exit_code(tmp_path, monkeypatch):
+    # every chain fails at run time: all rows are recorded as errors -> exit 3
+    def failing_chain(*args, **kwargs):
+        raise SamplerError(0, "injected failure")
+
+    monkeypatch.setattr(cli, "run_chain", failing_chain)
+    argv, raw, _ = bench_args(tmp_path, "e")
     assert main(argv) == 3
     rows = read_rows(raw)
     assert len(rows) == 12

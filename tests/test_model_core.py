@@ -4,23 +4,22 @@ import numpy as np
 import pytest
 
 from blockgibbs import (
+    ChainState,
     Dataset,
     DimensionMismatchError,
     GroupStructure,
+    KernelKind,
     LatentScales,
     ModelKind,
     ModelSpec,
+    RunConfig,
     SymmetricTridiagonal,
-    assemble_posterior_precision,
-    beta_conditional_params,
-    build_fused_precision,
-    build_group_cov,
-    build_sparse_group_cov,
-    conditional_sigma2_params,
-    marginal_sigma2_params,
+    run_chain,
+    samplers,
 )
 from blockgibbs._linalg import cholesky_spd
 from blockgibbs.model_core import add_prior_precision
+from block_stubs import BasisGenerator, block_draw
 
 
 def groups_of(*sizes):
@@ -91,72 +90,104 @@ def test_latent_scales_must_be_positive():
 
 
 # ---------------------------------------------------------------------------
-# prior covariance builders
+# prior precision from the latent scales (the chain's own construction)
 # ---------------------------------------------------------------------------
 
+def group_prior(tau2, *sizes):
+    spec = ModelSpec.group_lasso(1.0, groups_of(*sizes))
+    return samplers._prior_precision(spec, (1.0 / np.asarray(tau2),))
+
+
+def sparse_prior(tau2, gamma2, *sizes):
+    spec = ModelSpec.sparse_group_lasso(1.0, 1.0, groups_of(*sizes))
+    return samplers._prior_precision(spec, (1.0 / np.asarray(tau2),
+                                            1.0 / np.asarray(gamma2)))
+
+
+def fused_prior(tau2, omega2):
+    spec = ModelSpec.fused_lasso(1.0, 1.0)
+    return samplers._prior_precision(spec, (1.0 / np.asarray(tau2),
+                                            1.0 / np.asarray(omega2)))
+
+
+def frozen_chain(spec, ds, scales):
+    # the (sigma2, beta) block drawn with the latent scales held at `scales`
+    state = ChainState(beta=np.zeros(ds.p), sigma2=1.0, scales=scales)
+    return run_chain(KernelKind.TWO_BLOCK, spec, ds,
+                     RunConfig(n_iter=5, burn_in=0, seed=0, store_beta=True),
+                     initial_state=state, freeze_scales=True)
+
+
 def test_group_cov_repeats_by_group():
-    d = build_group_cov(LatentScales(tau2=np.array([4.0, 9.0])), groups_of(2, 1))
+    d = 1.0 / group_prior([4.0, 9.0], 2, 1)
     assert d.tolist() == [4.0, 4.0, 9.0]
 
 
 def test_group_cov_identity_case():
-    d = build_group_cov(LatentScales(tau2=np.array([1.0])), groups_of(1))
-    assert d.tolist() == [1.0]
+    assert group_prior([1.0], 1).tolist() == [1.0]
 
 
 def test_group_cov_two_groups_of_five():
-    d = build_group_cov(LatentScales(tau2=np.array([0.25, 2.0])), groups_of(5, 5))
+    d = 1.0 / group_prior([0.25, 2.0], 5, 5)
     assert d[:5].tolist() == [0.25] * 5
     assert d[5:].tolist() == [2.0] * 5
 
 
 def test_group_cov_dimension_mismatch():
+    spec = ModelSpec.group_lasso(1.0, groups_of(2, 1))
+    ds = Dataset(y=np.ones(4), x=np.eye(4, 3))
     with pytest.raises(DimensionMismatchError, match="expected length 2, got 3"):
-        build_group_cov(LatentScales(tau2=np.ones(3)), groups_of(2, 1))
+        frozen_chain(spec, ds, LatentScales(tau2=np.ones(3)))
 
 
-def test_group_cov_rejects_degenerate_scale():
-    with pytest.raises(ValueError, match="degenerate"):
-        build_group_cov(LatentScales(tau2=np.array([1e-310])), groups_of(1))
+def test_degenerate_scale_pins_its_coefficients_at_zero():
+    # 1 / 1e-310 overflows to an infinite prior precision, whose exact limit
+    # holds the group's coefficients at zero
+    spec = ModelSpec.group_lasso(1.0, groups_of(1, 1))
+    ds = Dataset(y=np.arange(1.0, 5.0), x=np.eye(4, 2) + 0.5)
+    with np.errstate(over="ignore"):
+        out = frozen_chain(spec, ds, LatentScales(tau2=np.array([1e-310, 1.0])))
+    assert np.all(out.beta_draws[:, 0] == 0.0)
+    assert np.all(out.beta_draws[:, 1] != 0.0) and np.all(out.sigma2_draws > 0.0)
 
 
 def test_sparse_group_cov_harmonic_entries():
-    s = LatentScales(tau2=np.array([1.0]), gamma2=np.array([1.0]))
-    assert build_sparse_group_cov(s, groups_of(1)).tolist() == [0.5]
-    s = LatentScales(tau2=np.array([2.0]), gamma2=np.array([2.0]))
-    assert build_sparse_group_cov(s, groups_of(1)).tolist() == [1.0]
+    assert (1.0 / sparse_prior([1.0], [1.0], 1)).tolist() == [0.5]
+    assert (1.0 / sparse_prior([2.0], [2.0], 1)).tolist() == [1.0]
 
 
 def test_sparse_group_cov_mixed_groups():
-    s = LatentScales(tau2=np.array([1.0, 4.0]), gamma2=np.array([1.0, 2.0, 4.0]))
-    v = build_sparse_group_cov(s, groups_of(2, 1))
+    v = 1.0 / sparse_prior([1.0, 4.0], [1.0, 2.0, 4.0], 2, 1)
     np.testing.assert_allclose(v, [0.5, 2.0 / 3.0, 2.0], rtol=1e-15)
 
 
 def test_sparse_group_cov_needs_gamma():
+    spec = ModelSpec.sparse_group_lasso(1.0, 1.0, groups_of(1))
+    ds = Dataset(y=np.ones(3), x=np.ones((3, 1)))
     with pytest.raises(ValueError, match="gamma2"):
-        build_sparse_group_cov(LatentScales(tau2=np.ones(1)), groups_of(1))
+        frozen_chain(spec, ds, LatentScales(tau2=np.ones(1)))
 
 
 def test_fused_precision_small_cases():
-    t = build_fused_precision(LatentScales(tau2=np.ones(2), omega2=np.ones(1)))
+    t = fused_prior(np.ones(2), np.ones(1))
     np.testing.assert_array_equal(t.to_dense(), [[2.0, -1.0], [-1.0, 2.0]])
 
-    t = build_fused_precision(LatentScales(tau2=np.ones(3), omega2=np.ones(2)))
+    t = fused_prior(np.ones(3), np.ones(2))
     np.testing.assert_array_equal(
         t.to_dense(), [[2.0, -1.0, 0.0], [-1.0, 3.0, -1.0], [0.0, -1.0, 2.0]])
 
 
 def test_fused_precision_general_entries():
-    s = LatentScales(tau2=np.array([4.0, 1.0, 2.0]), omega2=np.array([2.0, 5.0]))
-    t = build_fused_precision(s)
+    t = fused_prior([4.0, 1.0, 2.0], [2.0, 5.0])
     np.testing.assert_allclose(t.diag, [0.75, 1.7, 0.7], rtol=1e-15)
     np.testing.assert_allclose(t.off, [-0.5, -0.2], rtol=1e-15)
 
 
 def test_fused_precision_needs_p_at_least_two():
+    ds = Dataset(y=np.ones(3), x=np.ones((3, 1)))
     with pytest.raises(ValueError, match="p >= 2"):
-        build_fused_precision(LatentScales(tau2=np.ones(1), omega2=np.ones(0)))
+        frozen_chain(ModelSpec.fused_lasso(1.0, 1.0), ds,
+                     LatentScales(tau2=np.ones(1), omega2=np.ones(1)))
 
 
 def test_fused_precision_row_sums_cancel():
@@ -166,56 +197,61 @@ def test_fused_precision_row_sums_cancel():
         p = int(rng.integers(2, 12))
         tau2 = rng.uniform(0.1, 5.0, p)
         omega2 = rng.uniform(0.1, 5.0, p - 1)
-        t = build_fused_precision(LatentScales(tau2=tau2, omega2=omega2))
+        t = fused_prior(tau2, omega2)
         np.testing.assert_allclose(t.to_dense().sum(axis=1), 1.0 / tau2,
                                    rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# posterior precision and variance-parameter maps
+# posterior precision assembly
 # ---------------------------------------------------------------------------
+
+def assemble(ds, prior_inv):
+    gram = ds.x.T @ ds.x
+    return add_prior_precision(gram, prior_inv, out=np.empty_like(gram))
+
 
 def test_assemble_with_zero_design():
     ds = Dataset(y=np.ones(2), x=np.zeros((2, 2)))
-    np.testing.assert_array_equal(assemble_posterior_precision(ds, np.ones(2)),
-                                  np.eye(2))
+    np.testing.assert_array_equal(assemble(ds, np.ones(2)), np.eye(2))
 
 
 def test_assemble_with_identity_design():
     ds = Dataset(y=np.ones(2), x=np.eye(2))
-    np.testing.assert_array_equal(assemble_posterior_precision(ds, np.ones(2)),
-                                  2.0 * np.eye(2))
+    np.testing.assert_array_equal(assemble(ds, np.ones(2)), 2.0 * np.eye(2))
 
 
 def test_assemble_single_column():
     ds = Dataset(y=np.array([1.0, 1.0]), x=np.array([[1.0], [0.0]]))
-    np.testing.assert_array_equal(assemble_posterior_precision(ds, np.ones(1)),
-                                  [[2.0]])
+    np.testing.assert_array_equal(assemble(ds, np.ones(1)), [[2.0]])
 
 
 def test_assemble_symmetric_positive_definite():
     rng = np.random.default_rng(11)
     for _ in range(25):
-        n, p = int(rng.integers(1, 10)), int(rng.integers(1, 8))
+        n, p = int(rng.integers(1, 10)), int(rng.integers(2, 8))
         ds = Dataset(y=rng.standard_normal(n), x=rng.standard_normal((n, p)))
-        b = rng.standard_normal((p, p))
-        prior_inv = b @ b.T + np.eye(p)
-        a = assemble_posterior_precision(ds, prior_inv)
-        np.testing.assert_allclose(a, a.T, atol=1e-12)
-        assert np.all(np.linalg.eigvalsh(a) > 0)
+        for prior_inv in _priors(rng, p).values():
+            a = assemble(ds, prior_inv)
+            np.testing.assert_allclose(a, a.T, atol=1e-12)
+            assert np.all(np.linalg.eigvalsh(a) > 0)
 
 
 def _priors(rng, p):
-    b = rng.standard_normal((p, p))
     return {
         "diagonal": rng.uniform(0.2, 3.0, p),
         "tridiagonal": SymmetricTridiagonal(rng.uniform(2.0, 3.0, p),
                                             rng.uniform(-0.5, 0.5, p - 1)),
-        "dense": b @ b.T + np.eye(p),
     }
 
 
-@pytest.mark.parametrize("kind", ["diagonal", "tridiagonal", "dense"])
+def _dense(prior):
+    if isinstance(prior, SymmetricTridiagonal):
+        return prior.to_dense()
+    return np.diag(prior)
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "tridiagonal"])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_add_prior_precision_into_workspace_equals_copy(kind, order):
     rng = np.random.default_rng(12)
@@ -226,7 +262,7 @@ def test_add_prior_precision_into_workspace_equals_copy(kind, order):
         out = np.full((p, p), np.nan, order=order)
         a = add_prior_precision(np.asarray(gram, order=order), prior, out=out)
         assert a is out
-        np.testing.assert_array_equal(a, add_prior_precision(gram, prior))
+        np.testing.assert_array_equal(a, gram.copy() + _dense(prior))
 
 
 def test_add_prior_precision_rejects_strided_workspace():
@@ -249,10 +285,40 @@ def test_cholesky_overwrite_factors_in_place():
     np.testing.assert_array_equal(np.tril(chol), expected)
 
 
+# ---------------------------------------------------------------------------
+# the chain's residual-variance scales and beta mean (block update with a
+# stub generator: gamma draws 1 and the normals are zero)
+# ---------------------------------------------------------------------------
+
+def group_spec(p, alpha=0.0, xi=0.0):
+    return ModelSpec.group_lasso(1.0, groups_of(*[1] * p), alpha=alpha, xi=xi)
+
+
+def marginal(ds, prior_inv, alpha=0.0, xi=0.0):
+    """(gamma shape, scale) of the two-block sigma2 draw."""
+    gen = BasisGenerator()
+    _, scale = block_draw(group_spec(ds.p, alpha, xi), ds, KernelKind.TWO_BLOCK,
+                          np.zeros(ds.p), prior_inv, gen)
+    return gen.shapes[0], scale
+
+
+def conditional(ds, beta, prior_inv, alpha=0.0, xi=0.0):
+    """(gamma shape, scale) of the three-block sigma2 draw given beta."""
+    gen = BasisGenerator()
+    _, scale = block_draw(group_spec(ds.p, alpha, xi), ds, KernelKind.THREE_BLOCK,
+                          beta, prior_inv, gen)
+    return gen.shapes[0], scale
+
+
+def beta_mean(ds, prior_inv):
+    return block_draw(group_spec(ds.p), ds, KernelKind.TWO_BLOCK,
+                      np.zeros(ds.p), prior_inv)[0]
+
+
 def test_marginal_sigma2_zero_design():
     y = np.array([1.0, 2.0, 3.0])
     ds = Dataset(y=y, x=np.zeros((3, 2)))
-    shape, scale = marginal_sigma2_params(ds, np.ones(2), alpha=0.0, xi=0.0)
+    shape, scale = marginal(ds, np.ones(2))
     assert shape == 1.5
     assert scale == pytest.approx(y @ y / 2.0, rel=1e-15)
 
@@ -260,10 +326,10 @@ def test_marginal_sigma2_zero_design():
 def test_marginal_sigma2_hand_instance():
     # n=2, p=1, X=(1,0)', Y=(1,1)', unit prior precision: A=2, scale 0.75
     ds = Dataset(y=np.array([1.0, 1.0]), x=np.array([[1.0], [0.0]]))
-    shape, scale = marginal_sigma2_params(ds, np.ones(1), alpha=0.0, xi=0.0)
+    shape, scale = marginal(ds, np.ones(1))
     assert shape == 1.0
     assert scale == pytest.approx(0.75, rel=1e-14)
-    _, scale_xi = marginal_sigma2_params(ds, np.ones(1), alpha=0.0, xi=1.0)
+    _, scale_xi = marginal(ds, np.ones(1), xi=1.0)
     assert scale_xi == pytest.approx(1.75, rel=1e-14)
 
 
@@ -273,72 +339,71 @@ def test_marginal_sigma2_scale_at_least_xi():
         n, p = int(rng.integers(1, 8)), int(rng.integers(1, 6))
         ds = Dataset(y=rng.standard_normal(n), x=rng.standard_normal((n, p)))
         xi = float(rng.uniform(0.0, 2.0))
-        _, scale = marginal_sigma2_params(ds, rng.uniform(0.5, 2.0, p),
-                                          alpha=0.0, xi=xi)
+        _, scale = marginal(ds, rng.uniform(0.5, 2.0, p), xi=xi)
         assert scale >= xi - 1e-12
 
 
 def test_marginal_sigma2_degenerate_raises():
     ds = Dataset(y=np.zeros(2), x=np.zeros((2, 1)))
     with pytest.raises(ValueError, match="non-positive"):
-        marginal_sigma2_params(ds, np.ones(1), alpha=0.0, xi=0.0)
+        marginal(ds, np.ones(1))
 
 
 def test_conditional_sigma2_zero_beta():
     y = np.array([1.0, 2.0])
     ds = Dataset(y=y, x=np.ones((2, 3)))
-    shape, scale = conditional_sigma2_params(ds, np.zeros(3), np.ones(3),
-                                             alpha=0.5, xi=0.0)
+    shape, scale = conditional(ds, np.zeros(3), np.ones(3), alpha=0.5)
     assert shape == (2 + 3 + 1) / 2
     assert scale == pytest.approx(y @ y / 2.0, rel=1e-15)
 
 
 def test_conditional_sigma2_hand_instance():
     ds = Dataset(y=np.array([1.0, 1.0]), x=np.array([[1.0], [0.0]]))
-    shape, scale = conditional_sigma2_params(ds, np.array([1.0]), np.ones(1),
-                                             alpha=0.0, xi=0.0)
+    shape, scale = conditional(ds, np.array([1.0]), np.ones(1))
     assert shape == 1.5
     assert scale == pytest.approx(1.0, rel=1e-15)
 
 
 def test_conditional_sigma2_xi_only():
     ds = Dataset(y=np.zeros(2), x=np.ones((2, 1)))
-    _, scale = conditional_sigma2_params(ds, np.zeros(1), np.ones(1),
-                                         alpha=0.0, xi=3.0)
+    _, scale = conditional(ds, np.zeros(1), np.ones(1), xi=3.0)
     assert scale == 3.0
     with pytest.raises(ValueError, match="non-positive"):
-        conditional_sigma2_params(ds, np.zeros(1), np.ones(1), alpha=0.0, xi=0.0)
+        conditional(ds, np.zeros(1), np.ones(1))
 
 
 def test_beta_conditional_identity_design():
     y = np.array([2.0, -4.0])
     ds = Dataset(y=y, x=np.eye(2))
-    cond = beta_conditional_params(ds, np.ones(2), sigma2=1.0)
-    np.testing.assert_allclose(cond.mean, y / 2.0, rtol=1e-14)
+    np.testing.assert_allclose(beta_mean(ds, np.ones(2)), y / 2.0, rtol=1e-14)
 
 
 def test_beta_conditional_zero_design():
     ds = Dataset(y=np.ones(3), x=np.zeros((3, 2)))
-    cond = beta_conditional_params(ds, np.ones(2), sigma2=2.0)
-    np.testing.assert_array_equal(cond.mean, np.zeros(2))
+    np.testing.assert_array_equal(beta_mean(ds, np.ones(2)), np.zeros(2))
 
 
 def test_beta_conditional_hand_instance_and_covariance():
+    # A = 2: mean 0.5; with sigma2 = the scale 0.75, covariance 0.75 / 2
     ds = Dataset(y=np.array([1.0, 1.0]), x=np.array([[1.0], [0.0]]))
-    cond = beta_conditional_params(ds, np.ones(1), sigma2=3.0)
-    assert cond.mean[0] == pytest.approx(0.5, rel=1e-14)
-    np.testing.assert_allclose(cond.covariance(), [[1.5]], rtol=1e-14)
+    spec = group_spec(1)
+    mean, sigma2 = block_draw(spec, ds, KernelKind.TWO_BLOCK, np.zeros(1), np.ones(1))
+    unit, _ = block_draw(spec, ds, KernelKind.TWO_BLOCK, np.zeros(1), np.ones(1),
+                         BasisGenerator(0))
+    assert mean[0] == pytest.approx(0.5, rel=1e-14)
+    assert sigma2 == pytest.approx(0.75, rel=1e-14)
+    np.testing.assert_allclose((unit - mean) ** 2, [0.375], rtol=1e-14)
 
 
 def test_marginal_scale_equals_projector_form():
-    # the one-factorization route Y'Y - ||L^-1 X'Y||^2 must equal the
-    # explicit projector form Y'(I - X A^-1 X')Y
+    # the one-factorization route (Y'Y - ||L^-1 X'Y||^2 for p <= n, the sum of
+    # squares ||L^-1 Y||^2 for p > n) must equal Y'(I - X A^-1 X')Y
     rng = np.random.default_rng(17)
     for _ in range(25):
         n, p = int(rng.integers(2, 10)), int(rng.integers(1, 6))
         ds = Dataset(y=rng.standard_normal(n), x=rng.standard_normal((n, p)))
         prior_inv = rng.uniform(0.3, 2.0, p)
-        _, scale = marginal_sigma2_params(ds, prior_inv, alpha=0.0, xi=0.25)
+        _, scale = marginal(ds, prior_inv, xi=0.25)
         a = ds.x.T @ ds.x + np.diag(prior_inv)
         proj = np.eye(n) - ds.x @ np.linalg.inv(a) @ ds.x.T
         assert scale == pytest.approx(0.5 * ds.y @ proj @ ds.y + 0.25, rel=1e-10)
@@ -352,8 +417,7 @@ def test_quadratic_form_identity():
         n, p = int(rng.integers(1, 12)), int(rng.integers(1, 10))
         ds = Dataset(y=rng.standard_normal(n), x=rng.standard_normal((n, p)))
         prior_inv = rng.uniform(0.2, 3.0, p)
-        _, scale = marginal_sigma2_params(ds, prior_inv, alpha=0.0, xi=0.0)
-        mean = beta_conditional_params(ds, prior_inv, 1.0).mean
-        resid = ds.y - ds.x @ mean
-        rhs = 0.5 * (resid @ resid + prior_inv @ (mean * mean))
-        assert scale == pytest.approx(rhs, rel=1e-8)
+        mean, scale = block_draw(group_spec(p), ds, KernelKind.TWO_BLOCK,
+                                 np.zeros(p), prior_inv)
+        _, conditional_scale = conditional(ds, mean, prior_inv)
+        assert scale == pytest.approx(conditional_scale, rel=1e-8)

@@ -7,6 +7,7 @@ import pytest
 from blockgibbs import (
     ChainState,
     Dataset,
+    DimensionMismatchError,
     FactorizationError,
     GroupStructure,
     KernelKind,
@@ -15,23 +16,20 @@ from blockgibbs import (
     RngStream,
     RunConfig,
     SamplerError,
-    conditional_sigma2_params,
     factorization_count,
     initial_chain_state,
     map_jobs,
     reset_factorization_count,
     run_chain,
     sample_inverse_gaussian_vector,
-    step_2bg_fused,
-    step_2bg_group,
-    step_3bg_fused,
-    step_3bg_group,
-    step_2bg_sparse_group,
-    step_3bg_sparse_group,
+    samplers,
+    step,
 )
-from blockgibbs import samplers
 from blockgibbs._linalg import cholesky_spd, solve_lower
 from blockgibbs.diagnostics import autocorr
+from block_stubs import BasisGenerator
+
+TWO, THREE = KernelKind.TWO_BLOCK, KernelKind.THREE_BLOCK
 
 
 def small_group_problem():
@@ -41,6 +39,12 @@ def small_group_problem():
     ds = Dataset(y=y, x=x)
     spec = ModelSpec.group_lasso(1.0, GroupStructure(np.array([2, 1])))
     return ds, spec
+
+
+def full_conditional_scale(ds, beta, prior_precision, xi=0.0):
+    """Dense three-block sigma2 scale 0.5 (||y - X beta||^2 + beta' Q beta) + xi."""
+    resid = ds.y - ds.x @ beta
+    return 0.5 * (resid @ resid + beta @ prior_precision @ beta) + xi
 
 
 def mirror_group_latents(spec, beta, sigma2, rng):
@@ -113,10 +117,64 @@ def test_wall_time_positive_and_loop_only():
 
 
 def test_step_rejects_wrong_model_kind():
+    # a fused-model state has one tau2 per coefficient, not one per group
+    ds, spec = small_group_problem()
+    state = initial_chain_state(ModelSpec.fused_lasso(1.0, 1.0), ds)
+    with pytest.raises(DimensionMismatchError, match="tau2 length"):
+        step(TWO, state, ds, spec, RngStream(0))
+
+
+def test_step_accepts_kernel_names():
     ds, spec = small_group_problem()
     state = initial_chain_state(spec, ds)
-    with pytest.raises(ValueError, match="fused-lasso"):
-        step_2bg_fused(state, ds, spec, RngStream(0))
+    a = step("3bg", state, ds, spec, RngStream(8))
+    b = step(THREE, state, ds, spec, RngStream(8))
+    np.testing.assert_array_equal(a.beta, b.beta)
+    assert a.sigma2 == b.sigma2
+    with pytest.raises(ValueError):
+        step("4bg", state, ds, spec, RngStream(8))
+
+
+def initial_state_problem():
+    # n = 8, p = 3, groups (2, 1)
+    rng = np.random.default_rng(314)
+    ds = Dataset(y=rng.standard_normal(8), x=rng.standard_normal((8, 3)))
+    return ds, GroupStructure(np.array([2, 1]))
+
+
+@pytest.mark.parametrize("length", [2, 5])
+def test_run_chain_rejects_initial_beta_of_wrong_length(length):
+    ds, groups = initial_state_problem()
+    spec = ModelSpec.group_lasso(1.0, groups)
+    state = ChainState(beta=np.zeros(length), sigma2=1.0,
+                       scales=LatentScales(tau2=np.ones(2)))
+    with pytest.raises(DimensionMismatchError,
+                       match=f"beta length.*expected length 3, got {length}"):
+        run_chain(TWO, spec, ds, RunConfig(n_iter=5, burn_in=0), initial_state=state)
+
+
+def test_run_chain_rejects_initial_scales_of_wrong_length():
+    ds, groups = initial_state_problem()
+    spec = ModelSpec.group_lasso(1.0, groups)
+    state = ChainState(beta=np.zeros(3), sigma2=1.0,
+                       scales=LatentScales(tau2=np.ones(4)))
+    for freeze in (True, False):
+        with pytest.raises(DimensionMismatchError, match="tau2 length"):
+            run_chain(TWO, spec, ds, RunConfig(n_iter=5, burn_in=0),
+                      initial_state=state, freeze_scales=freeze)
+
+
+@pytest.mark.parametrize("spec,scales,missing", [
+    (ModelSpec.sparse_group_lasso(1.0, 1.0, GroupStructure(np.array([2, 1]))),
+     LatentScales(tau2=np.ones(2)), "gamma2"),
+    (ModelSpec.fused_lasso(1.0, 1.0), LatentScales(tau2=np.ones(3)), "omega2"),
+])
+def test_run_chain_rejects_missing_initial_scales(spec, scales, missing):
+    ds, _ = initial_state_problem()
+    state = ChainState(beta=np.zeros(3), sigma2=1.0, scales=scales)
+    with pytest.raises(ValueError, match=missing):
+        run_chain(TWO, spec, ds, RunConfig(n_iter=5, burn_in=0),
+                  initial_state=state, freeze_scales=True)
 
 
 def test_sampler_error_carries_iteration_index():
@@ -148,7 +206,7 @@ def test_group_latent_mean_parameter_unity():
                        scales=LatentScales(tau2=np.ones(2)))
     mirror = RngStream(31)
     expected_inv = sample_inverse_gaussian_vector(np.ones(2), 1.0, mirror)
-    new = step_2bg_group(state, ds, spec, RngStream(31))
+    new = step(TWO, state, ds, spec, RngStream(31))
     np.testing.assert_array_equal(new.scales.tau2, 1.0 / expected_inv)
 
 
@@ -159,7 +217,7 @@ def test_zero_beta_initialization_uses_limit_branch():
     state = initial_chain_state(spec, ds)
     mirror = RngStream(13)
     z = mirror.generator.standard_normal(2)
-    new = step_2bg_group(state, ds, spec, RngStream(13))
+    new = step(TWO, state, ds, spec, RngStream(13))
     np.testing.assert_array_equal(new.scales.tau2, 1.0 / (lam_sq / (z * z)))
 
 
@@ -173,7 +231,7 @@ def test_fused_constant_beta_uses_limit_branch_for_differences():
     mirror.generator.standard_normal(3)  # tau draws consume first
     mirror.generator.random(3)
     z = mirror.generator.standard_normal(2)
-    new = step_2bg_fused(state, ds, spec, RngStream(5))
+    new = step(TWO, state, ds, spec, RngStream(5))
     lam2_sq = spec.lam2 * spec.lam2
     np.testing.assert_array_equal(new.scales.omega2, 1.0 / (lam2_sq / (z * z)))
 
@@ -191,7 +249,7 @@ def test_2bg_sigma2_matches_marginal_conditional():
     xty = ds.x.T @ ds.y
     scale = 0.5 * (ds.y @ ds.y - xty @ np.linalg.inv(a) @ xty)
     g = mirror.generator.gamma(0.5 * ds.n)
-    new = step_2bg_group(state, ds, spec, RngStream(41))
+    new = step(TWO, state, ds, spec, RngStream(41))
     assert new.sigma2 == pytest.approx(scale / g, rel=1e-10)
 
 
@@ -202,11 +260,32 @@ def test_3bg_sigma2_matches_full_conditional():
     mirror = RngStream(43)
     inv_tau2 = mirror_group_latents(spec, state.beta, state.sigma2, mirror)
     prior_inv = np.repeat(inv_tau2, spec.groups.group_sizes)
-    shape, scale = conditional_sigma2_params(ds, state.beta, prior_inv,
-                                             spec.alpha, spec.xi)
-    assert shape == 0.5 * (ds.n + ds.p)
-    g = mirror.generator.gamma(shape)
-    new = step_3bg_group(state, ds, spec, RngStream(43))
+    scale = full_conditional_scale(ds, state.beta, np.diag(prior_inv))
+    g = mirror.generator.gamma(0.5 * (ds.n + ds.p))
+    new = step(THREE, state, ds, spec, RngStream(43))
+    assert new.sigma2 == pytest.approx(scale / g, rel=1e-12)
+
+
+def test_3bg_sigma2_matches_full_conditional_fused():
+    # the fused prior precision enters the scale as its tridiagonal quadratic
+    # form; compared here against beta' Q beta with Q built densely
+    ds = Dataset(y=np.arange(1.0, 7.0), x=np.vstack([np.eye(3)] * 2))
+    spec = ModelSpec.fused_lasso(1.0, 2.0, xi=0.3)
+    state = ChainState(beta=np.array([0.4, -1.1, 0.7]), sigma2=1.3,
+                       scales=LatentScales(tau2=np.ones(3), omega2=np.ones(2)))
+    mirror = RngStream(44)
+    sigma2, beta = state.sigma2, state.beta
+    inv_tau2 = sample_inverse_gaussian_vector(
+        np.sqrt(spec.lam1 ** 2 * sigma2 / (beta * beta)), spec.lam1 ** 2, mirror)
+    diffs = np.diff(beta)
+    inv_omega2 = sample_inverse_gaussian_vector(
+        np.sqrt(spec.lam2 ** 2 * sigma2 / (diffs * diffs)), spec.lam2 ** 2, mirror)
+    q = np.diag(inv_tau2)
+    for j, w in enumerate(inv_omega2):
+        q[j:j + 2, j:j + 2] += w * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    scale = full_conditional_scale(ds, beta, q, spec.xi)
+    g = mirror.generator.gamma(0.5 * (ds.n + ds.p))
+    new = step(THREE, state, ds, spec, RngStream(44))
     assert new.sigma2 == pytest.approx(scale / g, rel=1e-12)
 
 
@@ -221,12 +300,11 @@ def test_3bg_beta_draw_follows_sigma2():
     a = ds.x.T @ ds.x + np.diag(prior_inv)
     g = mirror.generator.gamma(0.5 * (ds.n + ds.p))
     z = mirror.generator.standard_normal(ds.p)
-    _, scale = conditional_sigma2_params(ds, state.beta, prior_inv, 0.0, 0.0)
-    sigma2 = scale / g
+    sigma2 = full_conditional_scale(ds, state.beta, np.diag(prior_inv)) / g
     chol = np.linalg.cholesky(a)
     mean = np.linalg.solve(a, ds.x.T @ ds.y)
     expected = mean + math.sqrt(sigma2) * np.linalg.solve(chol.T, z)
-    new = step_3bg_group(state, ds, spec, RngStream(47))
+    new = step(THREE, state, ds, spec, RngStream(47))
     np.testing.assert_allclose(new.beta, expected, rtol=1e-8)
 
 
@@ -263,22 +341,23 @@ def test_frozen_scales_draws_are_uncorrelated():
 # factorization accounting and parallel mapping
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("step", [step_2bg_group, step_3bg_group])
-def test_group_steps_factor_exactly_once(step):
+@pytest.mark.parametrize("kernel", [TWO, THREE],
+                         ids=["step_2bg_group", "step_3bg_group"])
+def test_group_steps_factor_exactly_once(kernel):
     ds, spec = small_group_problem()
     state = initial_chain_state(spec, ds)
     reset_factorization_count()
-    step(state, ds, spec, RngStream(1))
+    step(kernel, state, ds, spec, RngStream(1))
     assert factorization_count() == 1
 
 
-@pytest.mark.parametrize("step,maker", [
-    (step_2bg_sparse_group, "sparse"),
-    (step_3bg_sparse_group, "sparse"),
-    (step_2bg_fused, "fused"),
-    (step_3bg_fused, "fused"),
+@pytest.mark.parametrize("kernel,maker", [
+    pytest.param(TWO, "sparse", id="step_2bg_sparse_group-sparse"),
+    pytest.param(THREE, "sparse", id="step_3bg_sparse_group-sparse"),
+    pytest.param(TWO, "fused", id="step_2bg_fused-fused"),
+    pytest.param(THREE, "fused", id="step_3bg_fused-fused"),
 ])
-def test_other_steps_factor_exactly_once(step, maker):
+def test_other_steps_factor_exactly_once(kernel, maker):
     ds, _ = small_group_problem()
     if maker == "sparse":
         spec = ModelSpec.sparse_group_lasso(1.0, 1.0, GroupStructure(np.array([2, 1])))
@@ -286,7 +365,7 @@ def test_other_steps_factor_exactly_once(step, maker):
         spec = ModelSpec.fused_lasso(1.0, 1.0)
     state = initial_chain_state(spec, ds)
     reset_factorization_count()
-    step(state, ds, spec, RngStream(1))
+    step(kernel, state, ds, spec, RngStream(1))
     assert factorization_count() == 1
 
 
@@ -339,26 +418,6 @@ def test_float_error_state_restored_after_failed_chain(monkeypatch):
 # ---------------------------------------------------------------------------
 # block update dispatch and the n-space (p > n) update
 # ---------------------------------------------------------------------------
-
-class BasisGenerator:
-    """Stub generator: gamma draws 1 and the normals are zero or one unit vector.
-
-    With it a block update returns sigma2 = its scale, and beta is the mean
-    map (no `unit`) or the mean plus one column of the noise map (`unit = j`).
-    """
-
-    def __init__(self, unit=None):
-        self.unit = unit
-
-    def gamma(self, shape):
-        return 1.0
-
-    def standard_normal(self, size):
-        z = np.zeros(size)
-        if self.unit is not None:
-            z[self.unit] = 1.0
-        return z
-
 
 def affine_maps(update, spec, ds, kernel, beta, prior_inv):
     """(mean, sigma2, B B^T) of one block update, read off through BasisGenerator."""
@@ -484,14 +543,15 @@ def test_nspace_factors_order_n_in_one_workspace_array(monkeypatch, kernel):
                for a, shape, shared, fortran in seen)
 
 
-@pytest.mark.parametrize("step", [step_2bg_group, step_3bg_group])
-def test_step_wrappers_take_the_nspace_update(monkeypatch, step):
+@pytest.mark.parametrize("kernel", [TWO, THREE],
+                         ids=["step_2bg_group", "step_3bg_group"])
+def test_step_wrappers_take_the_nspace_update(monkeypatch, kernel):
     ds, spec, _, _ = wide_group_problem(4, "group")
     orders = []
     real = samplers.cholesky_spd
     monkeypatch.setattr(samplers, "cholesky_spd",
                         lambda a, *args, **kw: orders.append(a.shape) or real(a, *args, **kw))
-    new = step(initial_chain_state(spec, ds), ds, spec, RngStream(9))
+    new = step(kernel, initial_chain_state(spec, ds), ds, spec, RngStream(9))
     assert orders == [(ds.n, ds.n)]
     assert new.beta.shape == (ds.p,) and new.sigma2 > 0.0
 

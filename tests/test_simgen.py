@@ -125,3 +125,13 @@ def test_scenario_spec_validation_and_dispatch():
     assert sim.dataset.n == 12 and sim.dataset.p == 10
     again = cell.generate()
     np.testing.assert_array_equal(sim.dataset.x, again.dataset.x)
+
+
+@pytest.mark.parametrize("scenario,p", [("s1", 15), ("s2", 10), ("wide", 20), ("tall", 5)])
+def test_scenario_spec_groups_match_generated(scenario, p):
+    spec = ScenarioSpec(Scenario(scenario), 12, p, seed=3)
+    generated = spec.generate().groups
+    if generated is None:
+        assert spec.groups is None
+    else:
+        assert spec.groups.group_sizes.tolist() == generated.group_sizes.tolist()
