@@ -90,8 +90,7 @@ ig_transform = ig_transform_short
 # group reductions, expansions and the fused model's tridiagonal bands
 # ---------------------------------------------------------------------------
 
-def group_sqnorms(beta: np.ndarray, offsets: np.ndarray,
-                  sizes: np.ndarray) -> np.ndarray:
+def group_sqnorms(beta: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.add.reduceat(beta * beta, offsets)
 
 

@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -66,33 +66,36 @@ def read_dataset_csv(path: str, y_col: int = 0,
     rows: list[list[float]] = []
     sidecar: list[int] | None = None
     try:
-        fh = open(path, newline="")
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read dataset file: {exc}") from exc
-    with fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                body = text[1:].strip()
-                if body.startswith("groups:"):
-                    sidecar = _parse_group_sizes(body[len("groups:"):])
-                continue
-            cells = text.split(",")
-            values = []
-            for j, cell in enumerate(cells):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise UsageError(
-                        f"{path}: row {line_no}, column {j + 1}: "
-                        f"non-numeric cell '{cell.strip()}'") from None
-            if rows and len(values) != len(rows[0]):
-                raise UsageError(
-                    f"{path}: row {line_no} has {len(values)} cells, "
-                    f"expected {len(rows[0])}")
-            rows.append(values)
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for line_no, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        if text.startswith("#"):
+            body = text[1:].strip()
+            if body.startswith("groups:"):
+                sidecar = _parse_group_sizes(body[len("groups:"):])
+            continue
+        values = []
+        for j, cell in enumerate(text.split(",")):
+            try:
+                value = float(cell)
+                problem = None if math.isfinite(value) else "non-finite"
+            except ValueError:
+                problem = "non-numeric"
+            if problem:
+                raise UsageError(f"{path}: row {line_no}, column {j + 1}: "
+                                 f"{problem} cell '{cell.strip()}'")
+            values.append(value)
+        if rows and len(values) != len(rows[0]):
+            raise UsageError(f"{path}: row {line_no} has {len(values)} cells, "
+                             f"expected {len(rows[0])}")
+        rows.append(values)
     if not rows:
         raise UsageError(f"{path}: no data rows")
     width = len(rows[0])
@@ -122,13 +125,11 @@ def write_dataset_csv(data: Dataset | SimulatedDataset, path: str) -> None:
     if isinstance(data, SimulatedDataset):
         groups = data.groups
         data = data.dataset
-    with open(path, "w", newline="") as fh:
-        if groups is not None:
-            sizes = ",".join(str(int(s)) for s in groups.group_sizes)
-            fh.write(f"# groups: {sizes}\n")
-        for i in range(data.n):
-            cells = [_f17(data.y[i])] + [_f17(v) for v in data.x[i]]
-            fh.write(",".join(cells) + "\n")
+    header = ""
+    if groups is not None:
+        header = "groups: " + ",".join(str(int(s)) for s in groups.group_sizes)
+    np.savetxt(path, np.column_stack((data.y, data.x)), fmt="%.17g",
+               delimiter=",", header=header)
 
 
 # ---------------------------------------------------------------------------
@@ -255,19 +256,18 @@ def _resolve_model(args, groups: GroupStructure | None) -> ModelSpec:
         raise UsageError(str(exc)) from exc
 
 
-def _scenario_spec(scenario: str, n: int, k: int | None, p: int | None,
-                   seed: int) -> ScenarioSpec:
+def _scenario_cells(scenario: str, ns, ks, ps) -> tuple[ScenarioSpec, ...]:
+    """The checked cells of `scenario`: each n with each p (p = 5K for s1)."""
     sc = Scenario(scenario)
     if sc is Scenario.GROUPED_POLY:
-        if k is None:
-            raise UsageError("scenario s1 requires --K")
-        p_val = 5 * k
+        flag, dims = "--K", [5 * k for k in ks or ()]
     else:
-        if p is None:
-            raise UsageError(f"scenario {sc.value} requires --p")
-        p_val = p
+        flag, dims = "--p", list(ps or ())
+    for name, values in (("--n", ns), (flag, dims)):
+        if not values:
+            raise UsageError(f"scenario {sc.value} requires {name}")
     try:
-        return ScenarioSpec(scenario=sc, n=n, p=p_val, seed=seed)
+        return tuple(ScenarioSpec(sc, n, p) for n in ns for p in dims)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -298,16 +298,12 @@ def _report_dict(output: ChainOutput) -> dict:
 
 
 def _write_draws_csv(output: ChainOutput, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        header = ["sigma2"]
-        if output.beta_draws is not None:
-            header += [f"beta_{j}" for j in range(output.p)]
-        fh.write(",".join(header) + "\n")
-        for i in range(output.sigma2_draws.shape[0]):
-            cells = [_f17(output.sigma2_draws[i])]
-            if output.beta_draws is not None:
-                cells += [_f17(v) for v in output.beta_draws[i]]
-            fh.write(",".join(cells) + "\n")
+    columns, header = [output.sigma2_draws], ["sigma2"]
+    if output.beta_draws is not None:
+        columns.append(output.beta_draws)
+        header += [f"beta_{j}" for j in range(output.p)]
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
 
 
 def _cmd_run(args) -> int:
@@ -318,10 +314,9 @@ def _cmd_run(args) -> int:
         group_sizes = _parse_group_sizes(args.groups) if args.groups else None
         dataset, groups = read_dataset_csv(args.data, args.y_col, group_sizes)
     else:
-        if args.n is None:
-            raise UsageError("--scenario requires --n")
-        spec_cell = _scenario_spec(args.scenario, args.n, args.K, args.p, args.seed)
-        sim = spec_cell.generate(RngStream.from_key(args.seed, 0))
+        sizes = [None if v is None else [v] for v in (args.n, args.K, args.p)]
+        (cell,) = _scenario_cells(args.scenario, *sizes)
+        sim = cell.generate(RngStream.from_key(args.seed, 0))
         dataset, groups = sim.dataset, sim.groups
 
     model = _resolve_model(args, groups)
@@ -332,7 +327,10 @@ def _cmd_run(args) -> int:
 
     output = run_chain(KernelKind(args.kernel), model, dataset, config,
                        rng=RngStream.from_key(args.seed, 1))
-    report = _report_dict(output)
+    try:
+        report = _report_dict(output)
+    except ValueError as exc:  # e.g. draws whose variance underflows to zero
+        raise BlockGibbsError(f"cannot diagnose the chain: {exc}") from exc
     text = json.dumps(report, indent=2)
     if args.report:
         with open(args.report, "w") as fh:
@@ -348,39 +346,19 @@ def _cmd_run(args) -> int:
 # bench
 # ---------------------------------------------------------------------------
 
-RAW_COLUMNS = ["model", "kernel", "scenario", "n", "p", "rep", "seed",
-               "rho1", "ess", "wall_time_seconds", "ess_per_second",
-               "status", "error"]
-AGG_COLUMNS = ["model", "kernel", "n", "p", "reps_ok", "rho1_mean", "rho1_se",
-               "log10_ess_per_sec_mean", "log10_ess_per_sec_se"]
-
-
 @dataclass(frozen=True)
 class BenchGrid:
-    """A validated benchmark grid: model, kernels, cells, replications.
+    """A checked benchmark grid: cells, the model of each cell, kernels, reps.
 
-    `models` holds the model of each cell, in the order of `cells`.
+    The seed of `config` is the master seed every job derives its seeds from.
     """
 
-    model: str
-    scenario: str
-    kernels: tuple[str, ...]
-    cells: tuple[tuple[int, int], ...]
+    scenario: Scenario
+    cells: tuple[ScenarioSpec, ...]
     models: tuple[ModelSpec, ...]
+    kernels: tuple[KernelKind, ...]
     reps: int
-    n_iter: int
-    burn_in: int
-    thin: int
-    master_seed: int
-
-    def __post_init__(self):
-        if self.reps < 1:
-            raise UsageError("--reps must be >= 1")
-        if not self.kernels:
-            raise UsageError("need at least one kernel")
-        for k in self.kernels:
-            if k not in {kk.value for kk in KernelKind}:
-                raise UsageError(f"unknown kernel '{k}'")
+    config: RunConfig
 
 
 @dataclass(frozen=True)
@@ -402,18 +380,17 @@ class BenchRow:
     error: str = ""
 
     def to_csv_dict(self) -> dict:
-        def fmt(v):
-            return "" if v is None else _f17(v)
+        def cell(value):
+            if value is None:
+                return ""
+            return _f17(value) if isinstance(value, float) else value
 
-        return {
-            "model": self.model, "kernel": self.kernel,
-            "scenario": self.scenario, "n": self.n, "p": self.p,
-            "rep": self.rep, "seed": self.seed, "rho1": fmt(self.rho1),
-            "ess": fmt(self.ess),
-            "wall_time_seconds": fmt(self.wall_time_seconds),
-            "ess_per_second": fmt(self.ess_per_second),
-            "status": self.status, "error": self.error,
-        }
+        return {f.name: cell(getattr(self, f.name)) for f in fields(self)}
+
+
+RAW_COLUMNS = [f.name for f in fields(BenchRow)]
+AGG_COLUMNS = ["model", "kernel", "n", "p", "reps_ok", "rho1_mean", "rho1_se",
+               "log10_ess_per_sec_mean", "log10_ess_per_sec_se"]
 
 
 def _derive_seed(*entropy: int) -> int:
@@ -424,19 +401,19 @@ def _derive_seed(*entropy: int) -> int:
 def _run_bench_job(job: tuple[BenchGrid, int, int]) -> list[BenchRow]:
     """One replication: generate the dataset once, run every kernel on it."""
     grid, cell_index, rep = job
-    n, p = grid.cells[cell_index]
-    data_seed = _derive_seed(grid.master_seed, cell_index, rep, 0)
-    sim = ScenarioSpec(Scenario(grid.scenario), n, p, seed=data_seed).generate()
+    cell, model = grid.cells[cell_index], grid.models[cell_index]
+    grid_seed = grid.config.seed
+    data_seed = _derive_seed(grid_seed, cell_index, rep, 0)
+    sim = ScenarioSpec(grid.scenario, cell.n, cell.p, seed=data_seed).generate()
     rows = []
     for k_idx, kernel in enumerate(grid.kernels):
-        chain_seed = _derive_seed(grid.master_seed, cell_index, rep, 1 + k_idx)
-        base = dict(model=grid.model, kernel=kernel, scenario=grid.scenario,
-                    n=n, p=p, rep=rep, seed=chain_seed)
+        chain_seed = _derive_seed(grid_seed, cell_index, rep, 1 + k_idx)
+        base = dict(model=model.kind.value, kernel=kernel.value,
+                    scenario=grid.scenario.value, n=cell.n, p=cell.p, rep=rep,
+                    seed=chain_seed)
         try:
-            config = RunConfig(n_iter=grid.n_iter, burn_in=grid.burn_in,
-                               seed=chain_seed, thin=grid.thin)
-            output = run_chain(KernelKind(kernel), grid.models[cell_index],
-                               sim.dataset, config)
+            output = run_chain(kernel, model, sim.dataset,
+                               replace(grid.config, seed=chain_seed))
             rep_diag = diagnose(output)
             rows.append(BenchRow(**base, rho1=rep_diag.rho1, ess=rep_diag.ess,
                                  wall_time_seconds=output.wall_time_seconds,
@@ -447,28 +424,10 @@ def _run_bench_job(job: tuple[BenchGrid, int, int]) -> list[BenchRow]:
     return rows
 
 
-def _bench_cells(args) -> tuple[tuple[int, int], ...]:
-    sc = Scenario(args.scenario)
-    if sc is Scenario.GROUPED_POLY:
-        if not args.K:
-            raise UsageError("scenario s1 requires --K")
-        dims = [5 * k for k in args.K]
-    else:
-        if not args.p:
-            raise UsageError(f"scenario {sc.value} requires --p")
-        dims = list(args.p)
-    return tuple((n, p) for n in args.n for p in dims)
-
-
 def _aggregate(rows: list[BenchRow]) -> list[dict]:
-    seen: list[tuple] = []
-    by_cell: dict[tuple, list[BenchRow]] = {}
+    by_cell: dict[tuple, list[BenchRow]] = {}  # in order of first appearance
     for row in rows:
-        key = (row.model, row.kernel, row.n, row.p)
-        if key not in by_cell:
-            by_cell[key] = []
-            seen.append(key)
-        by_cell[key].append(row)
+        by_cell.setdefault((row.model, row.kernel, row.n, row.p), []).append(row)
 
     def mean_se(v: np.ndarray) -> tuple[float, float]:
         if v.size == 0:
@@ -477,8 +436,8 @@ def _aggregate(rows: list[BenchRow]) -> list[dict]:
         return float(v.mean()), se
 
     out = []
-    for key in seen:
-        ok = [r for r in by_cell[key] if r.status == "ok"]
+    for key, cell_rows in by_cell.items():
+        ok = [r for r in cell_rows if r.status == "ok"]
         rho1_mean, rho1_se = mean_se(np.array([r.rho1 for r in ok]))
         leps_mean, leps_se = mean_se(
             np.array([math.log10(r.ess_per_second) for r in ok]))
@@ -492,26 +451,33 @@ def _aggregate(rows: list[BenchRow]) -> list[dict]:
     return out
 
 
+def _kernel_list(text: str) -> tuple[KernelKind, ...]:
+    names = [k.strip() for k in text.split(",") if k.strip()]
+    if not names:
+        raise UsageError("need at least one kernel")
+    for name in names:
+        if name not in {k.value for k in KernelKind}:
+            raise UsageError(f"unknown kernel '{name}'")
+    return tuple(KernelKind(name) for name in names)
+
+
 def _grid_from_args(args) -> BenchGrid:
     if args.scenario is None:
         raise UsageError("bench requires --scenario")
-    kind = ModelKind(args.model)
-    if kind is not ModelKind.FUSED_LASSO and Scenario(args.scenario) is Scenario.ADJACENT_SIMILAR:
+    scenario = Scenario(args.scenario)
+    grouped = ModelKind(args.model) is not ModelKind.FUSED_LASSO
+    if grouped and scenario is Scenario.ADJACENT_SIMILAR:
         raise UsageError("scenario s2 has no group structure; "
                          "use s1/wide/tall for the group models")
+    if args.reps < 1:
+        raise UsageError("--reps must be >= 1")
+    kernels = _kernel_list(args.kernels)
     config = _resolve_run_config(args)
-    cells = _bench_cells(args)
-    try:
-        specs = [ScenarioSpec(Scenario(args.scenario), n, p) for n, p in cells]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    cells = _scenario_cells(args.scenario, args.n, args.K, args.p)
     # the models are resolved, and so checked, before any job starts
-    models = tuple(_resolve_model(args, spec.groups) for spec in specs)
-    return BenchGrid(
-        model=args.model, scenario=args.scenario,
-        kernels=tuple(k.strip() for k in args.kernels.split(",") if k.strip()),
-        cells=cells, models=models, reps=args.reps, n_iter=config.n_iter,
-        burn_in=config.burn_in, thin=config.thin, master_seed=args.seed)
+    models = tuple(_resolve_model(args, cell.groups) for cell in cells)
+    return BenchGrid(scenario=scenario, cells=cells, models=models,
+                     kernels=kernels, reps=args.reps, config=config)
 
 
 def run_bench(args) -> tuple[list[BenchRow], list[dict]]:

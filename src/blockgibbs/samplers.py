@@ -127,49 +127,6 @@ class ChainOutput:
 _QUIET = dict(all="ignore")
 
 
-def _block_update(spec: ModelSpec, dataset: Dataset) -> str:
-    """The block update a chain runs: "nspace" for the group models when p > n."""
-    if spec.kind is not ModelKind.FUSED_LASSO and dataset.p > dataset.n:
-        return "nspace"
-    return "dense"
-
-
-@dataclass(frozen=True)
-class _Workspace:
-    """Per-dataset precomputations and scratch shared by every iteration.
-
-    The dense update keeps `gram` in Fortran order so that copying it into
-    the scratch array `a`, where each iteration assembles the posterior
-    precision and LAPACK factors it in place, is one contiguous copy. The
-    n-space update builds neither: it writes X sqrt(D) into the n x p
-    scratch `xs` and assembles and factors I + X D X^T in the Fortran-ordered
-    n x n scratch `m`.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    n: int
-    p: int
-    update: str
-    gram: np.ndarray | None = None
-    xty: np.ndarray | None = None
-    yty: float | None = None
-    a: np.ndarray | None = None
-    xs: np.ndarray | None = None
-    m: np.ndarray | None = None
-
-    @classmethod
-    def build(cls, dataset: Dataset, update: str) -> "_Workspace":
-        x, y = dataset.x, dataset.y
-        common = dict(x=x, y=y, n=dataset.n, p=dataset.p, update=update)
-        if update == "nspace":
-            return cls(**common, xs=np.empty_like(x),
-                       m=np.zeros((dataset.n, dataset.n), order="F"))
-        gram = np.asfortranarray(x.T @ x)
-        return cls(**common, gram=gram, xty=x.T @ y, yty=float(y @ y),
-                   a=np.empty_like(gram, order="F"))
-
-
 def _ig_draws(lam_sq: float, sigma2: float, sq: np.ndarray,
               gen: np.random.Generator) -> np.ndarray:
     """Reciprocal-scale draws: IG(sqrt(lam^2 sigma2 / sq), lam^2) per entry.
@@ -199,19 +156,19 @@ def _latent_sampler(spec: ModelSpec):
             return (inv_tau2, _ig_draws(lam2_sq, sigma2, diffs * diffs, gen))
 
         return draw_fused
-    offsets, sizes = spec.groups.offsets, spec.groups.group_sizes
+    offsets = spec.groups.offsets
     if kind is ModelKind.GROUP_LASSO:
         lam_sq = spec.lam * spec.lam
 
         def draw_group(beta, sigma2, gen):
-            sq = _kernels.group_sqnorms(beta, offsets, sizes)
+            sq = _kernels.group_sqnorms(beta, offsets)
             return (_ig_draws(lam_sq, sigma2, sq, gen),)
 
         return draw_group
     lam1_sq, lam2_sq = spec.lam1 * spec.lam1, spec.lam2 * spec.lam2
 
     def draw_sparse(beta, sigma2, gen):
-        sq = _kernels.group_sqnorms(beta, offsets, sizes)
+        sq = _kernels.group_sqnorms(beta, offsets)
         inv_tau2 = _ig_draws(lam1_sq, sigma2, sq, gen)
         return (inv_tau2, _ig_draws(lam2_sq, sigma2, beta * beta, gen))
 
@@ -230,15 +187,15 @@ def _prior_precision(spec: ModelSpec, inv_scales: tuple[np.ndarray, ...]):
     return SymmetricTridiagonal(diag, off)
 
 
-def _gamma_shape(spec: ModelSpec, ws: _Workspace, two_block: bool) -> float:
+def _gamma_shape(spec: ModelSpec, dataset: Dataset, two_block: bool) -> float:
     if two_block:
-        return 0.5 * ws.n + spec.alpha
-    return 0.5 * (ws.n + ws.p + 2.0 * spec.alpha)
+        return 0.5 * dataset.n + spec.alpha
+    return 0.5 * (dataset.n + dataset.p + 2.0 * spec.alpha)
 
 
-def _full_conditional_scale(ws: _Workspace, xi: float, beta, prior_inv) -> float:
+def _full_conditional_scale(x, y, xi: float, beta, prior_inv) -> float:
     """Three-block sigma2 scale: 0.5 (||y - X beta||^2 + beta^T Q beta) + xi."""
-    resid = ws.y - ws.x @ beta
+    resid = y - x @ beta
     if isinstance(prior_inv, SymmetricTridiagonal):
         quad = _kernels.tridiag_quad_form(prior_inv.diag, prior_inv.off, beta)
     else:
@@ -276,57 +233,54 @@ def sample_mvn_precision(b: np.ndarray, precision: np.ndarray, sigma2: float,
     return _beta_from_factor(chol, solve_lower(chol, b), sigma2, rng.generator)
 
 
-def _block_sampler(spec: ModelSpec, ws: _Workspace, kernel: KernelKind):
-    """Draw of (sigma2, beta) given the fresh scales; one factorization total.
+def _dense_block_sampler(spec: ModelSpec, dataset: Dataset, kernel: KernelKind):
+    """Block update through the p x p posterior precision X^T X + Q.
 
-    Returns `draw(beta, prior_inv, gen) -> (new_beta, sigma2)` for the block
-    update the workspace was built for.
-    """
-    if ws.update == "nspace":
-        return _nspace_block_sampler(spec, ws, kernel)
-    return _dense_block_sampler(spec, ws, kernel)
-
-
-def _dense_block_sampler(spec: ModelSpec, ws: _Workspace, kernel: KernelKind):
-    """Block update through the p x p posterior precision.
-
-    The kernel branch and the gamma shape are resolved once. The posterior
-    precision is assembled in `ws.a` and factored in place there.
+    Returns `draw(beta, prior_inv, gen) -> (new_beta, sigma2)`. X^T X is kept
+    in Fortran order, so that copying it into the scratch array, where each
+    iteration assembles the posterior precision and LAPACK factors it in
+    place, is one contiguous copy.
     """
     two_block = kernel is KernelKind.TWO_BLOCK
-    shape = _gamma_shape(spec, ws, two_block)
+    shape = _gamma_shape(spec, dataset, two_block)
     xi = spec.xi
+    x, y = dataset.x, dataset.y
+    gram = np.asfortranarray(x.T @ x)
+    xty, yty = x.T @ y, float(y @ y)
+    a = np.empty_like(gram, order="F")
 
     def draw(beta, prior_inv, gen):
-        a = add_prior_precision(ws.gram, prior_inv, out=ws.a)
-        chol = cholesky_spd(a, "posterior precision", overwrite=True)
-        u = solve_lower(chol, ws.xty)
+        chol = cholesky_spd(add_prior_precision(gram, prior_inv, out=a),
+                            "posterior precision", overwrite=True)
+        u = solve_lower(chol, xty)
         if two_block:
-            scale = 0.5 * (ws.yty - float(u @ u)) + xi
+            scale = 0.5 * (yty - float(u @ u)) + xi
         else:
-            scale = _full_conditional_scale(ws, xi, beta, prior_inv)
+            scale = _full_conditional_scale(x, y, xi, beta, prior_inv)
         sigma2 = _checked_scale(scale) / gen.gamma(shape)
         return _beta_from_factor(chol, u, sigma2, gen), float(sigma2)
 
     return draw
 
 
-def _nspace_block_sampler(spec: ModelSpec, ws: _Workspace, kernel: KernelKind):
+def _nspace_block_sampler(spec: ModelSpec, dataset: Dataset, kernel: KernelKind):
     """Block update through the n x n matrix I + X D X^T (diagonal priors only).
 
     With D = 1 / prior_inv and L the Cholesky factor of I + X D X^T, the
     two-block scale is 0.5 ||L^-1 y||^2 + xi and, with xi and delta standard
     normal, beta = u + D X^T L^-T L^-1 (y - X u - sigma delta) for
     u = sigma sqrt(D) xi has the dense update's mean and covariance. The
-    matrix is formed by one syrk on X sqrt(D) in `ws.xs` and factored in
-    place in `ws.m`.
+    matrix is formed by one syrk on X sqrt(D) in an n x p scratch array and
+    factored in place in a Fortran-ordered n x n one; X^T X is never formed.
     """
     two_block = kernel is KernelKind.TWO_BLOCK
-    shape = _gamma_shape(spec, ws, two_block)
+    shape = _gamma_shape(spec, dataset, two_block)
     xi = spec.xi
-    x, y, xs, m, p = ws.x, ws.y, ws.xs, ws.m, ws.p
+    x, y, n, p = dataset.x, dataset.y, dataset.n, dataset.p
+    xs = np.empty_like(x)
+    m = np.zeros((n, n), order="F")
     # the diagonal sits at the same flat stride in C and in Fortran order
-    m_diag = m.ravel(order="K")[::ws.n + 1]
+    m_diag = m.ravel(order="K")[::n + 1]
 
     def draw(beta, prior_inv, gen):
         d = 1.0 / prior_inv
@@ -339,16 +293,26 @@ def _nspace_block_sampler(spec: ModelSpec, ws: _Workspace, kernel: KernelKind):
             ly = solve_lower(chol, y)
             scale = 0.5 * float(ly @ ly) + xi
         else:
-            scale = _full_conditional_scale(ws, xi, beta, prior_inv)
+            scale = _full_conditional_scale(x, y, xi, beta, prior_inv)
         sigma2 = _checked_scale(scale) / gen.gamma(shape)
         sigma = math.sqrt(sigma2)
-        z = gen.standard_normal(p + ws.n)
+        z = gen.standard_normal(p + n)
         u = (sigma * sqrt_d) * z[:p]
         v = x @ u + sigma * z[p:]
         w = solve_lower_t(chol, solve_lower(chol, y - v))
         return u + d * (x.T @ w), float(sigma2)
 
     return draw
+
+
+_BLOCK_SAMPLERS = {"dense": _dense_block_sampler, "nspace": _nspace_block_sampler}
+
+
+def _block_update(spec: ModelSpec, dataset: Dataset) -> str:
+    """The block update a chain runs: "nspace" for the group models when p > n."""
+    if spec.kind is not ModelKind.FUSED_LASSO and dataset.p > dataset.n:
+        return "nspace"
+    return "dense"
 
 
 def _scale_sizes(spec: ModelSpec, p: int) -> dict[str, int]:
@@ -392,12 +356,11 @@ def step(kernel: KernelKind, state: ChainState, dataset: Dataset,
     kernel = KernelKind(kernel)
     spec.validate_for(dataset)
     _check_state(spec, state, dataset.p)
-    ws = _Workspace.build(dataset, _block_update(spec, dataset))
+    block = _BLOCK_SAMPLERS[_block_update(spec, dataset)](spec, dataset, kernel)
     gen = rng.generator
     with np.errstate(**_QUIET):
         inv_scales = _latent_sampler(spec)(state.beta, state.sigma2, gen)
-        prior_inv = _prior_precision(spec, inv_scales)
-        beta, sigma2 = _block_sampler(spec, ws, kernel)(state.beta, prior_inv, gen)
+        beta, sigma2 = block(state.beta, _prior_precision(spec, inv_scales), gen)
     return ChainState(beta=beta, sigma2=sigma2,
                       scales=_scales_of(spec, inv_scales, dataset.p))
 
@@ -431,22 +394,23 @@ def run_chain(kernel: KernelKind, spec: ModelSpec, dataset: Dataset,
     else:
         state = initial_state
         _check_state(spec, state, dataset.p)
-    ws = _Workspace.build(dataset, _block_update(spec, dataset))
+    update = _block_update(spec, dataset)
     rng = RngStream(config.seed) if rng is None else rng
 
     beta = state.beta
     sigma2 = state.sigma2
     gen = rng.generator
     latent = _latent_sampler(spec)
-    block = _block_sampler(spec, ws, kernel)
-    if freeze_scales:
-        prior_inv = _prior_precision(spec, _inv_scales_of(spec, state.scales, ws.p))
+    block = _BLOCK_SAMPLERS[update](spec, dataset, kernel)
 
     n_keep = (config.n_iter - config.burn_in) // config.thin
     sigma2_draws = np.empty(n_keep)
-    beta_draws = np.empty((n_keep, ws.p)) if config.store_beta else None
+    beta_draws = np.empty((n_keep, dataset.p)) if config.store_beta else None
 
     with np.errstate(**_QUIET):
+        if freeze_scales:
+            inv_scales = _inv_scales_of(spec, state.scales, dataset.p)
+            prior_inv = _prior_precision(spec, inv_scales)
         t0 = time.perf_counter()
         for it in range(config.n_iter):
             try:
@@ -466,8 +430,8 @@ def run_chain(kernel: KernelKind, spec: ModelSpec, dataset: Dataset,
 
     return ChainOutput(sigma2_draws=sigma2_draws, beta_draws=beta_draws,
                        wall_time_seconds=wall, kernel=kernel, model=spec,
-                       seed=rng.seed, n=ws.n, p=ws.p, config=config,
-                       block_update=ws.update)
+                       seed=rng.seed, n=dataset.n, p=dataset.p, config=config,
+                       block_update=update)
 
 
 def map_jobs(worker, items, jobs: int = 1) -> list:

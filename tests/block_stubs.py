@@ -33,7 +33,7 @@ def block_draw(spec, dataset, kernel, beta, prior_inv, gen=None):
     With the default `BasisGenerator()` these are the conditional mean of
     beta and the scale of the sigma2 conditional.
     """
-    ws = samplers._Workspace.build(dataset, samplers._block_update(spec, dataset))
-    draw = samplers._block_sampler(spec, ws, KernelKind(kernel))
+    update = samplers._block_update(spec, dataset)
+    draw = samplers._BLOCK_SAMPLERS[update](spec, dataset, KernelKind(kernel))
     return draw(np.asarray(beta, dtype=np.float64), prior_inv,
                 BasisGenerator() if gen is None else gen)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from blockgibbs import Dataset, RngStream, SamplerError, cli, gen_scenario1
@@ -74,6 +74,88 @@ def test_read_csv_reports_ragged_row(tmp_path):
 def test_read_csv_missing_file(tmp_path):
     with pytest.raises(UsageError, match="cannot read"):
         read_dataset_csv(str(tmp_path / "missing.csv"))
+
+
+RUN_DATA = ["run", "--model", "group-lasso", "--kernel", "2bg", "--lambda", "1",
+            "--iters", "120", "--burnin", "10"]
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_run_data_non_finite_cell_exits_2(tmp_path, capsys, cell):
+    path = write_lines(tmp_path / "d.csv", ["# groups: 2", "1,2,3", f"4,5,{cell}"])
+    assert main(RUN_DATA + ["--data", path]) == 2
+    err = capsys.readouterr().err
+    assert f"row 3, column 3: non-finite cell '{cell}'" in err
+    assert "Traceback" not in err
+
+
+def test_run_data_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"# groups: 2\n1,2,3\n4,\xff5,6\n")
+    assert main(RUN_DATA + ["--data", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and "Traceback" not in err
+
+
+def test_run_data_with_undiagnosable_draws_exits_3(tmp_path, capsys):
+    # a response of 5e-123 on a zero design gives sigma2 draws near 1e-245,
+    # whose autocovariances underflow to zero, so ESS is undefined
+    path = write_lines(tmp_path / "d.csv", ["5.4200639463156035e-123,0"])
+    assert main(RUN_DATA + ["--data", path, "--groups", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "cannot diagnose the chain: zero variance" in err
+    assert "Traceback" not in err
+
+
+BAD_CELLS = st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "", " ",
+                             "abc", "1,5", "0x10", "1e300", "1e-320", "0"])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(shape=st.tuples(st.integers(0, 7), st.integers(1, 5)),
+       values=st.lists(st.floats(-100.0, 100.0), min_size=35, max_size=35),
+       bad_cell=st.one_of(st.none(), st.tuples(st.integers(0, 6), st.integers(0, 4),
+                                               BAD_CELLS)),
+       ragged=st.one_of(st.none(), st.none(), st.integers(0, 6)),
+       groups=st.one_of(st.none(), st.just("fit"),
+                        st.lists(st.integers(-1, 4), max_size=4)),
+       junk=st.one_of(st.none(), st.none(), st.none(),
+                      st.tuples(st.integers(0, 200),
+                                st.sampled_from([b"\xff", b"\xc3(", b"\x80"]))),
+       model=st.sampled_from(["group-lasso", "sparse-group-lasso", "fused-lasso"]))
+def test_run_data_exit_code_property(tmp_path, shape, values, bad_cell, ragged,
+                                     groups, junk, model):
+    # any file content ends in 0, 2 or 3, never a traceback: a numeric table
+    # with at most one bad cell (non-finite, empty, non-numeric), possibly a
+    # short row, a `# groups:` line, and bytes that are not UTF-8
+    n, width = shape
+    rows = [[repr(v) for v in values[i * width:(i + 1) * width]] for i in range(n)]
+    if bad_cell is not None and bad_cell[0] < n and bad_cell[1] < width:
+        rows[bad_cell[0]][bad_cell[1]] = bad_cell[2]
+    if ragged is not None and ragged < n:
+        rows[ragged].pop()
+    lines = [",".join(row) for row in rows]
+    if groups == "fit":
+        groups = [1] * (width - 1)
+    if groups is not None:
+        lines.insert(0, "# groups: " + ",".join(map(str, groups)))
+    data = ("\n".join(lines) + "\n").encode()
+    if junk is not None:
+        at, raw = junk
+        data = data[:at] + raw + data[at:]
+    path = tmp_path / "d.csv"
+    path.write_bytes(data)
+    argv = ["run", "--model", model, "--kernel", "2bg", "--data", str(path),
+            "--lambda", "1", "--lambda1", "1", "--lambda2", "1",
+            "--iters", "120", "--burnin", "10"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"exit {code}")
+    assert code in (0, 2, 3), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_dataset_csv_round_trip(tmp_path):
@@ -301,6 +383,31 @@ def test_run_writes_draws(tmp_path):
     assert len(rows) == 1 + 200
 
 
+def test_run_draws_csv_parses_back_to_the_chain_draws(tmp_path, monkeypatch):
+    # the 17-digit cells round-trip: each parses back to the very draw
+    chains = []
+
+    def recording_chain(*args, **kwargs):
+        chains.append(real_chain(*args, **kwargs))
+        return chains[-1]
+
+    real_chain = cli.run_chain
+    monkeypatch.setattr(cli, "run_chain", recording_chain)
+    draws = tmp_path / "draws.csv"
+    assert main(["run", "--model", "sparse-group-lasso", "--kernel", "3bg",
+                 "--scenario", "wide", "--n", "6", "--p", "10",
+                 "--lambda1", "1", "--lambda2", "1", "--iters", "150",
+                 "--burnin", "20", "--store-beta", "--draws", str(draws),
+                 "--report", str(tmp_path / "r.json")]) == 0
+    with open(draws) as fh:
+        rows = list(csv.reader(fh))[1:]
+    parsed = np.array([[float(cell) for cell in row] for row in rows])
+    (out,) = chains
+    expected = np.column_stack((out.sigma2_draws, out.beta_draws))
+    assert parsed.shape == expected.shape
+    assert parsed.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # bench subcommand
 # ---------------------------------------------------------------------------
@@ -388,6 +495,72 @@ def test_bench_group_model_rejects_ungrouped_scenario(capsys):
                  "--n", "20", "--p", "10", "--reps", "1",
                  "--out-raw", "x.csv", "--out-agg", "y.csv"])
     assert code == 2
+
+
+def test_bench_empty_n_list_exits_2_before_writing(tmp_path, capsys):
+    argv, raw, agg = bench_args(tmp_path, "f")
+    argv[argv.index("--n") + 1] = ","
+    assert main(argv) == 2
+    assert "requires --n" in capsys.readouterr().err
+    assert not raw.exists() and not agg.exists()
+
+
+BENCH_DIMS = {"s1": [1, 2], "s2": [10, 20], "wide": [5, 20], "tall": [5, 10]}
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(model=st.sampled_from(["group-lasso", "sparse-group-lasso", "fused-lasso"]),
+       scenario=st.sampled_from(["s1", "s2", "wide", "tall"]),
+       ns=st.lists(st.sampled_from([2, 5, 8, 12]), min_size=1, max_size=2),
+       dims=st.lists(st.integers(0, 1), min_size=1, max_size=2),
+       reps=st.integers(1, 2),
+       kernels=st.lists(st.sampled_from(["2bg", "3bg", " 3bg", ""]), min_size=1,
+                        max_size=3),
+       chain=st.sampled_from([(130, 10, 1), (250, 20, 2)]),
+       bad=st.sampled_from([None, None, None, "n", "dims", "reps", "kernels",
+                            "thin"]),
+       bad_value=st.sampled_from([[], [0], [-1], [3], None]),
+       bad_kernels=st.sampled_from(["", ",", "4bg", "2bg,4bg", " , "]))
+def test_bench_exit_code_property(tmp_path, model, scenario, ns, dims, reps,
+                                  kernels, chain, bad, bad_value, bad_kernels):
+    # any bench arguments end in 0, 2 or 3, never a traceback, and exit 2
+    # writes nothing; at most one argument is made invalid (an empty or a
+    # non-positive list, a missing --K or --p, no reps, an empty or unknown
+    # kernel list, too few kept draws), and scenario s2 is invalid for the
+    # group models
+    iters, burnin, thin = chain
+    dims = [BENCH_DIMS[scenario][i] for i in dims]
+    kernel_text = ",".join(kernels)
+    if bad == "n":
+        ns = bad_value or []
+    elif bad == "dims":
+        dims = bad_value
+    elif bad == "reps":
+        reps = -1 if bad_value is None else 0
+    elif bad == "kernels":
+        kernel_text = bad_kernels
+    elif bad == "thin":
+        thin = 0 if bad_value is None else 3
+    raw, agg = tmp_path / "raw.csv", tmp_path / "agg.csv"
+    for path in (raw, agg):
+        path.unlink(missing_ok=True)
+    argv = ["bench", "--model", model, "--scenario", scenario,
+            "--n=" + (",".join(map(str, ns)) or ","), f"--reps={reps}",
+            f"--kernels={kernel_text}", f"--iters={iters}",
+            f"--burnin={burnin}", f"--thin={thin}",
+            "--out-raw", str(raw), "--out-agg", str(agg)]
+    if dims is not None:
+        flag = "--K" if scenario == "s1" else "--p"
+        argv.append(f"{flag}=" + (",".join(map(str, dims)) or ","))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"exit {code}")
+    assert code in (0, 2, 3), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert raw.exists() == (code != 2)
 
 
 def test_long_run_flag_sets_defaults():

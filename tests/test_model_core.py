@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,17 @@ def test_degenerate_scale_pins_its_coefficients_at_zero():
         out = frozen_chain(spec, ds, LatentScales(tau2=np.array([1e-310, 1.0])))
     assert np.all(out.beta_draws[:, 0] == 0.0)
     assert np.all(out.beta_draws[:, 1] != 0.0) and np.all(out.sigma2_draws > 0.0)
+
+
+def test_frozen_degenerate_scale_raises_no_warning():
+    # the reciprocals of frozen scales are taken inside the chain's quiet
+    # floating-point state, so 1 / 1e-310 warns no caller
+    spec = ModelSpec.group_lasso(1.0, groups_of(1, 1))
+    ds = Dataset(y=np.arange(1.0, 5.0), x=np.eye(4, 2) + 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = frozen_chain(spec, ds, LatentScales(tau2=np.array([1e-310, 1.0])))
+    assert np.all(out.beta_draws[:, 0] == 0.0)
 
 
 def test_sparse_group_cov_harmonic_entries():

@@ -421,10 +421,9 @@ def test_float_error_state_restored_after_failed_chain(monkeypatch):
 
 def affine_maps(update, spec, ds, kernel, beta, prior_inv):
     """(mean, sigma2, B B^T) of one block update, read off through BasisGenerator."""
-    ws = samplers._Workspace.build(ds, update)
     sampler = {"dense": samplers._dense_block_sampler,
                "nspace": samplers._nspace_block_sampler}[update]
-    draw = sampler(spec, ws, kernel)
+    draw = sampler(spec, ds, kernel)
     mean, sigma2 = draw(beta, prior_inv, BasisGenerator())
     n_normals = ds.p if update == "dense" else ds.p + ds.n
     cols = [draw(beta, prior_inv, BasisGenerator(j))[0] - mean
@@ -490,8 +489,7 @@ def test_nspace_scale_near_interpolation(seed):
     spec = ModelSpec.group_lasso(1.0, GroupStructure(np.array([2, 3])))
     prior_inv = np.full(5, 1e-8)
     exact = exact_marginal_scale(ds.x, ds.y, prior_inv)
-    ws = samplers._Workspace.build(ds, "nspace")
-    _, scale = samplers._nspace_block_sampler(spec, ws, KernelKind.TWO_BLOCK)(
+    _, scale = samplers._nspace_block_sampler(spec, ds, KernelKind.TWO_BLOCK)(
         np.zeros(5), prior_inv, BasisGenerator())
     u = solve_lower(cholesky_spd(ds.x.T @ ds.x + np.diag(prior_inv)), ds.x.T @ ds.y)
     difference = 0.5 * (ds.y @ ds.y - u @ u)
