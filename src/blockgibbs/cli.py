@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gibbs samplers for Bayesian shrinkage regression models")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, bench: bool) -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--model", required=True,
                        choices=[k.value for k in ModelKind])
         p.add_argument("--scenario", choices=[s.value for s in Scenario],
@@ -157,11 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, default=0.0)
         p.add_argument("--xi", type=float, default=0.0)
         p.add_argument("--lambda", dest="lam", type=float,
-                       default=1.0 if bench else None,
                        help="group-lasso penalty")
-        p.add_argument("--lambda1", type=float, default=1.0 if bench else None,
+        p.add_argument("--lambda1", dest="lam1", type=float,
                        help="first penalty (sparse group / fused)")
-        p.add_argument("--lambda2", type=float, default=1.0 if bench else None,
+        p.add_argument("--lambda2", dest="lam2", type=float,
                        help="second penalty (sparse group / fused)")
         p.add_argument("--iters", type=int, default=None,
                        help="chain length (default 10000)")
@@ -173,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="use 100000 iterations with 10000 burn-in")
 
     run_p = sub.add_parser("run", help="run one chain and report diagnostics")
-    add_common(run_p, bench=False)
+    add_common(run_p)
     run_p.add_argument("--kernel", required=True,
                        choices=[k.value for k in KernelKind])
     run_p.add_argument("--data", help="dataset CSV (response column plus design)")
@@ -189,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--draws", help="write stored draws to this CSV")
 
     bench_p = sub.add_parser("bench", help="replicated benchmark grid")
-    add_common(bench_p, bench=True)
+    add_common(bench_p)
+    bench_p.set_defaults(lam=1.0, lam1=1.0, lam2=1.0)
     bench_p.add_argument("--kernels", default="2bg,3bg",
                          help="comma-separated kernel list")
     bench_p.add_argument("--n", type=_int_list, required=True,
@@ -230,42 +230,42 @@ def _resolve_run_config(args, store_beta: bool = False) -> RunConfig:
     return config
 
 
+# the flag that sets each penalty field of ModelSpec
+_PENALTY_FLAGS = {"lam": "--lambda", "lam1": "--lambda1", "lam2": "--lambda2"}
+
+
 def _resolve_model(args, groups: GroupStructure | None) -> ModelSpec:
     kind = ModelKind(args.model)
+    missing = [_PENALTY_FLAGS[name] for name in kind.penalties
+               if getattr(args, name) is None]
+    if missing:
+        raise UsageError(f"{kind.value} requires {' and '.join(missing)}")
+    if kind.grouped and groups is None:
+        raise UsageError(f"{kind.value} requires group sizes: --groups with "
+                         f"--data, or a grouped scenario (s1, wide or tall)")
     try:
-        if kind is ModelKind.GROUP_LASSO:
-            if args.lam is None:
-                raise UsageError("group-lasso requires --lambda")
-            if groups is None:
-                raise UsageError("group-lasso requires group sizes "
-                                 "(--groups or a grouped scenario)")
-            return ModelSpec.group_lasso(args.lam, groups, args.alpha, args.xi)
-        if kind is ModelKind.SPARSE_GROUP_LASSO:
-            if args.lambda1 is None or args.lambda2 is None:
-                raise UsageError("sparse-group-lasso requires --lambda1 and --lambda2")
-            if groups is None:
-                raise UsageError("sparse-group-lasso requires group sizes "
-                                 "(--groups or a grouped scenario)")
-            return ModelSpec.sparse_group_lasso(args.lambda1, args.lambda2,
-                                                groups, args.alpha, args.xi)
-        if args.lambda1 is None or args.lambda2 is None:
-            raise UsageError("fused-lasso requires --lambda1 and --lambda2")
-        return ModelSpec.fused_lasso(args.lambda1, args.lambda2,
-                                     args.alpha, args.xi)
+        return ModelSpec(kind, args.alpha, args.xi,
+                         groups=groups if kind.grouped else None,
+                         **{name: getattr(args, name) for name in kind.penalties})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _check_distinct(flag: str, values) -> None:
+    """Reject a list flag that repeats an entry (its cells would be pooled)."""
+    if len(set(values)) < len(values):
+        raise UsageError(f"{flag} repeats an entry: {','.join(map(str, values))}")
 
 
 def _scenario_cells(scenario: str, ns, ks, ps) -> tuple[ScenarioSpec, ...]:
     """The checked cells of `scenario`: each n with each p (p = 5K for s1)."""
     sc = Scenario(scenario)
-    if sc is Scenario.GROUPED_POLY:
-        flag, dims = "--K", [5 * k for k in ks or ()]
-    else:
-        flag, dims = "--p", list(ps or ())
-    for name, values in (("--n", ns), (flag, dims)):
-        if not values:
+    flag, values = ("--K", ks) if sc is Scenario.GROUPED_POLY else ("--p", ps)
+    for name, given in (("--n", ns), (flag, values)):
+        if not given:
             raise UsageError(f"scenario {sc.value} requires {name}")
+        _check_distinct(name, given)
+    dims = [5 * k for k in values] if sc is Scenario.GROUPED_POLY else values
     try:
         return tuple(ScenarioSpec(sc, n, p) for n in ns for p in dims)
     except ValueError as exc:
@@ -458,17 +458,13 @@ def _kernel_list(text: str) -> tuple[KernelKind, ...]:
     for name in names:
         if name not in {k.value for k in KernelKind}:
             raise UsageError(f"unknown kernel '{name}'")
+    _check_distinct("--kernels", names)
     return tuple(KernelKind(name) for name in names)
 
 
 def _grid_from_args(args) -> BenchGrid:
     if args.scenario is None:
         raise UsageError("bench requires --scenario")
-    scenario = Scenario(args.scenario)
-    grouped = ModelKind(args.model) is not ModelKind.FUSED_LASSO
-    if grouped and scenario is Scenario.ADJACENT_SIMILAR:
-        raise UsageError("scenario s2 has no group structure; "
-                         "use s1/wide/tall for the group models")
     if args.reps < 1:
         raise UsageError("--reps must be >= 1")
     kernels = _kernel_list(args.kernels)
@@ -476,7 +472,7 @@ def _grid_from_args(args) -> BenchGrid:
     cells = _scenario_cells(args.scenario, args.n, args.K, args.p)
     # the models are resolved, and so checked, before any job starts
     models = tuple(_resolve_model(args, cell.groups) for cell in cells)
-    return BenchGrid(scenario=scenario, cells=cells, models=models,
+    return BenchGrid(scenario=Scenario(args.scenario), cells=cells, models=models,
                      kernels=kernels, reps=args.reps, config=config)
 
 

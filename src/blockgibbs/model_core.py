@@ -25,6 +25,16 @@ class ModelKind(str, enum.Enum):
     SPARSE_GROUP_LASSO = "sparse-group-lasso"
     FUSED_LASSO = "fused-lasso"
 
+    @property
+    def penalties(self) -> tuple[str, ...]:
+        """The `ModelSpec` penalty fields the model takes."""
+        return ("lam",) if self is ModelKind.GROUP_LASSO else ("lam1", "lam2")
+
+    @property
+    def grouped(self) -> bool:
+        """Needs a `GroupStructure`; its prior precision is then diagonal."""
+        return self is not ModelKind.FUSED_LASSO
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -111,24 +121,11 @@ class ModelSpec:
                 and self.alpha >= 0 and self.xi >= 0):
             raise ValueError(f"alpha and xi must be finite and non-negative, "
                              f"got alpha={self.alpha}, xi={self.xi}")
-        if self.kind is ModelKind.GROUP_LASSO:
-            self._positive("lam", self.lam)
-            self._need_groups()
-        elif self.kind is ModelKind.SPARSE_GROUP_LASSO:
-            self._positive("lam1", self.lam1)
-            self._positive("lam2", self.lam2)
-            self._need_groups()
-        else:
-            self._positive("lam1", self.lam1)
-            self._positive("lam2", self.lam2)
-
-    @staticmethod
-    def _positive(name: str, value: float | None) -> None:
-        if value is None or not (value > 0 and math.isfinite(value)):
-            raise ValueError(f"{name} must be > 0 and finite, got {value}")
-
-    def _need_groups(self) -> None:
-        if self.groups is None:
+        for name in self.kind.penalties:
+            value = getattr(self, name)
+            if value is None or not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be > 0 and finite, got {value}")
+        if self.kind.grouped and self.groups is None:
             raise ValueError(f"{self.kind.value} requires a GroupStructure")
 
     @classmethod
@@ -150,7 +147,7 @@ class ModelSpec:
     def validate_for(self, dataset: Dataset) -> None:
         if self.groups is not None:
             self.groups.check_covers(dataset.p)
-        if self.kind is ModelKind.FUSED_LASSO and dataset.p < 2:
+        if not self.kind.grouped and dataset.p < 2:
             raise ValueError("fused lasso needs at least two coefficients (p >= 2)")
 
 

@@ -310,7 +310,7 @@ _BLOCK_SAMPLERS = {"dense": _dense_block_sampler, "nspace": _nspace_block_sample
 
 def _block_update(spec: ModelSpec, dataset: Dataset) -> str:
     """The block update a chain runs: "nspace" for the group models when p > n."""
-    if spec.kind is not ModelKind.FUSED_LASSO and dataset.p > dataset.n:
+    if spec.kind.grouped and dataset.p > dataset.n:
         return "nspace"
     return "dense"
 
@@ -351,7 +351,9 @@ def step(kernel: KernelKind, state: ChainState, dataset: Dataset,
     """One Gibbs iteration of `kernel` ("2bg" or "3bg") from `state`.
 
     Runs the chain loop's body: the same draws, in the same order, as one
-    iteration of `run_chain` from this state.
+    iteration of `run_chain` from this state. Each call rebuilds the chain's
+    scratch (X^T X for the dense update, O(n p^2); else the n-space arrays),
+    so for more than one iteration call `run_chain(..., initial_state=state)`.
     """
     kernel = KernelKind(kernel)
     spec.validate_for(dataset)

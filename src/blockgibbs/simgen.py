@@ -97,47 +97,37 @@ def _poly_design(n: int, k: int, rng: RngStream) -> np.ndarray:
     return cols.reshape(n, 5 * k)
 
 
-def _grouped_poly(n: int, k: int, n_nonzero: int, rng: RngStream,
-                  noise: bool) -> SimulatedDataset:
+def _grouped_poly(n: int, k: int, n_nonzero: int,
+                  rng: RngStream) -> SimulatedDataset:
     x = _poly_design(n, k, rng)
     p = 5 * k
     beta_star = np.zeros(p)
     beta_star[:n_nonzero] = sample_student_t(2.0, rng, size=n_nonzero)
-    y = x @ beta_star
-    if noise:
-        y = y + rng.generator.standard_normal(n)
+    y = x @ beta_star + rng.generator.standard_normal(n)
     return SimulatedDataset(dataset=Dataset(y=y, x=x), beta_star=beta_star,
                             groups=_groups_of_five(k))
 
 
-def gen_scenario1(n: int, k: int, rng: RngStream, *,
-                  noise: bool = True) -> SimulatedDataset:
-    """Grouped polynomial design: p = 5k, first p/5 coefficients are t_2 draws.
-
-    `noise=False` is a test hook that suppresses the response noise so
-    y = X beta_star exactly.
-    """
+def gen_scenario1(n: int, k: int, rng: RngStream) -> SimulatedDataset:
+    """Grouped polynomial design: p = 5k, first p/5 coefficients are t_2 draws."""
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    return _grouped_poly(n, k, n_nonzero=k, rng=rng, noise=noise)
+    return _grouped_poly(n, k, n_nonzero=k, rng=rng)
 
 
-def gen_extra_wide(n: int, p: int, rng: RngStream, *,
-                   noise: bool = True) -> SimulatedDataset:
+def gen_extra_wide(n: int, p: int, rng: RngStream) -> SimulatedDataset:
     """Grouped polynomial design with exactly 5 nonzero coefficients, any p."""
     if p % 5 != 0 or p < 5:
         raise ValueError(f"p must be a positive multiple of 5, got {p}")
-    return _grouped_poly(n, p // 5, n_nonzero=5, rng=rng, noise=noise)
+    return _grouped_poly(n, p // 5, n_nonzero=5, rng=rng)
 
 
-def gen_extra_tall(n: int, p: int, rng: RngStream, *,
-                   noise: bool = True) -> SimulatedDataset:
+def gen_extra_tall(n: int, p: int, rng: RngStream) -> SimulatedDataset:
     """Same scheme as the wide generator, intended for small p and large n."""
-    return gen_extra_wide(n, p, rng, noise=noise)
+    return gen_extra_wide(n, p, rng)
 
 
-def gen_scenario2(n: int, p: int, rng: RngStream, *,
-                  noise: bool = True) -> SimulatedDataset:
+def gen_scenario2(n: int, p: int, rng: RngStream) -> SimulatedDataset:
     """Equicorrelated rows (correlation 0.2), standardized columns.
 
     The first and third blocks of p/10 coefficients are N(1, 0.1^2) draws;
@@ -156,9 +146,7 @@ def gen_scenario2(n: int, p: int, rng: RngStream, *,
     beta_star = np.zeros(p)
     beta_star[:blk] = rng.generator.normal(1.0, 0.1, blk)
     beta_star[2 * blk:3 * blk] = rng.generator.normal(1.0, 0.1, blk)
-    y = x @ beta_star
-    if noise:
-        y = y + rng.generator.standard_normal(n)
+    y = x @ beta_star + rng.generator.standard_normal(n)
     return SimulatedDataset(dataset=Dataset(y=y, x=x), beta_star=beta_star)
 
 

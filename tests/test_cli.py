@@ -9,7 +9,16 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from blockgibbs import Dataset, RngStream, SamplerError, cli, gen_scenario1
+from blockgibbs import (
+    Dataset,
+    GroupStructure,
+    ModelKind,
+    ModelSpec,
+    RngStream,
+    SamplerError,
+    cli,
+    gen_scenario1,
+)
 from blockgibbs.cli import (
     UsageError,
     main,
@@ -227,6 +236,33 @@ def test_run_requires_lambda_for_group_lasso(capsys):
                  "--iters", "200", "--burnin", "10"])
     assert code == 2
     assert "--lambda" in capsys.readouterr().err
+
+
+PENALTY_FLAGS = {"lam": "--lambda", "lam1": "--lambda1", "lam2": "--lambda2"}
+
+
+@pytest.mark.parametrize("kind,name", [(kind, name) for kind in ModelKind
+                                       for name in kind.penalties])
+def test_missing_penalty_names_field_and_flag(tmp_path, monkeypatch, capsys,
+                                              kind, name):
+    # ModelSpec names the field; run (flag omitted) and bench (flag given
+    # no value, as bench defaults every penalty to 1) name the flag
+    given = [field for field in kind.penalties if field != name]
+    groups = GroupStructure([5]) if kind.grouped else None
+    with pytest.raises(ValueError, match=f"^{name} must be > 0 and finite, got None"):
+        ModelSpec(kind, groups=groups, **{field: 1.0 for field in given})
+    flags = [f"{PENALTY_FLAGS[field]}=1" for field in given]
+    monkeypatch.setattr(cli, "map_jobs", lambda *args, **kw: pytest.fail("a job ran"))
+    assert main(["run", "--model", kind.value, "--kernel", "2bg", "--scenario",
+                 "s1", "--n", "20", "--K", "1", *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"requires {PENALTY_FLAGS[name]}" in err and "Traceback" not in err
+    argv, raw, _ = bench_args(tmp_path, "m")
+    argv[argv.index("--model") + 1] = kind.value
+    assert main(argv + [f"{PENALTY_FLAGS[name]}="]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {PENALTY_FLAGS[name]}" in err and "Traceback" not in err
+    assert not raw.exists()
 
 
 def test_run_requires_exactly_one_data_source(tmp_path, capsys):
@@ -490,11 +526,59 @@ def test_bench_records_failures_and_exit_code(tmp_path, monkeypatch):
     assert all(r["rho1"] == "" for r in rows)
 
 
-def test_bench_group_model_rejects_ungrouped_scenario(capsys):
-    code = main(["bench", "--model", "group-lasso", "--scenario", "s2",
-                 "--n", "20", "--p", "10", "--reps", "1",
-                 "--out-raw", "x.csv", "--out-agg", "y.csv"])
+def test_bench_group_model_rejects_ungrouped_scenario(tmp_path, monkeypatch,
+                                                      capsys):
+    # run and bench give a group model on s2 the same exit and message
+    monkeypatch.setattr(cli, "map_jobs", lambda *args, **kw: pytest.fail("a job ran"))
+    raw = tmp_path / "r.csv"
+    for model in ("group-lasso", "sparse-group-lasso"):
+        common = ["--model", model, "--scenario", "s2", "--n", "20", "--p", "10",
+                  "--lambda", "1", "--lambda1", "1", "--lambda2", "1"]
+        assert main(["run", "--kernel", "2bg", *common]) == 2
+        assert main(["bench", "--reps", "1", "--out-raw", str(raw),
+                     "--out-agg", str(tmp_path / "a.csv"), *common]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2 and lines[0] == lines[1]
+        assert "requires group sizes" in lines[0] and "s1, wide or tall" in lines[0]
+    assert not raw.exists()
+
+
+def test_fused_model_ignores_the_cell_groups(monkeypatch):
+    specs = []
+
+    def recording_chain(kernel, spec, *args, **kwargs):
+        specs.append(spec)
+        raise SamplerError(0, "recorded")
+
+    monkeypatch.setattr(cli, "run_chain", recording_chain)
+    common = ["--model", "fused-lasso", "--scenario", "s1", "--n", "20",
+              "--lambda1", "1", "--lambda2", "1"]
+    assert main(["run", "--kernel", "2bg", "--K", "2", *common]) == 3
+    args = cli.build_parser().parse_args(
+        ["bench", "--K", "1,2", "--out-raw", "r", "--out-agg", "a", *common])
+    specs += cli._grid_from_args(args).models
+    assert len(specs) == 3
+    assert all(spec.groups is None for spec in specs)
+
+
+@pytest.mark.parametrize("lists", [
+    ["--n", "20,20", "--K", "1", "--kernels", "2bg"],
+    ["--n", "20", "--K", "1,1", "--kernels", "2bg"],
+    ["--n", "20", "--K", "1", "--kernels", "2bg, 2bg"],
+    ["--n", "20,20", "--K", "1", "--kernels", "2bg,2bg"],
+    ["--scenario", "wide", "--n", "20", "--p", "10,5,10"],
+])
+def test_bench_repeated_list_entry_exits_2_before_any_job(tmp_path, monkeypatch,
+                                                          capsys, lists):
+    # a repeated entry would pool two cells' replications in one aggregate row
+    monkeypatch.setattr(cli, "map_jobs", lambda *args, **kw: pytest.fail("a job ran"))
+    raw, agg = tmp_path / "r.csv", tmp_path / "a.csv"
+    code = main(["bench", "--model", "group-lasso", "--scenario", "s1",
+                 "--reps", "2", *lists, "--out-raw", str(raw), "--out-agg", str(agg)])
     assert code == 2
+    err = capsys.readouterr().err
+    assert "repeats an entry" in err and "Traceback" not in err
+    assert not raw.exists() and not agg.exists()
 
 
 def test_bench_empty_n_list_exits_2_before_writing(tmp_path, capsys):
@@ -520,7 +604,7 @@ BENCH_DIMS = {"s1": [1, 2], "s2": [10, 20], "wide": [5, 20], "tall": [5, 10]}
                         max_size=3),
        chain=st.sampled_from([(130, 10, 1), (250, 20, 2)]),
        bad=st.sampled_from([None, None, None, "n", "dims", "reps", "kernels",
-                            "thin"]),
+                            "thin", "repeat"]),
        bad_value=st.sampled_from([[], [0], [-1], [3], None]),
        bad_kernels=st.sampled_from(["", ",", "4bg", "2bg,4bg", " , "]))
 def test_bench_exit_code_property(tmp_path, model, scenario, ns, dims, reps,
@@ -528,8 +612,8 @@ def test_bench_exit_code_property(tmp_path, model, scenario, ns, dims, reps,
     # any bench arguments end in 0, 2 or 3, never a traceback, and exit 2
     # writes nothing; at most one argument is made invalid (an empty or a
     # non-positive list, a missing --K or --p, no reps, an empty or unknown
-    # kernel list, too few kept draws), and scenario s2 is invalid for the
-    # group models
+    # kernel list, too few kept draws, a repeated list entry), and scenario
+    # s2 is invalid for the group models
     iters, burnin, thin = chain
     dims = [BENCH_DIMS[scenario][i] for i in dims]
     kernel_text = ",".join(kernels)
@@ -543,6 +627,8 @@ def test_bench_exit_code_property(tmp_path, model, scenario, ns, dims, reps,
         kernel_text = bad_kernels
     elif bad == "thin":
         thin = 0 if bad_value is None else 3
+    elif bad == "repeat":
+        ns = ns + ns[:1]
     raw, agg = tmp_path / "raw.csv", tmp_path / "agg.csv"
     for path in (raw, agg):
         path.unlink(missing_ok=True)
@@ -561,6 +647,8 @@ def test_bench_exit_code_property(tmp_path, model, scenario, ns, dims, reps,
     assert code in (0, 2, 3), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert raw.exists() == (code != 2)
+    if bad == "repeat":
+        assert code == 2
 
 
 def test_long_run_flag_sets_defaults():

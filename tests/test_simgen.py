@@ -33,11 +33,6 @@ def test_scenario1_columns_are_raw_powers():
             expected = expected * base
 
 
-def test_scenario1_noise_hook():
-    sim = gen_scenario1(25, 2, RngStream(3), noise=False)
-    np.testing.assert_array_equal(sim.dataset.y, sim.dataset.x @ sim.beta_star)
-
-
 def test_scenario2_column_standardization():
     sim = gen_scenario2(200, 40, RngStream(4))
     x = sim.dataset.x
