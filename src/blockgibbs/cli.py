@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .diagnostics import MIN_ESS_DRAWS, diagnose
-from .errors import BlockGibbsError, DimensionMismatchError
+from .errors import BlockGibbsError
 from .model_core import Dataset, GroupStructure, ModelKind, ModelSpec
 from .rng_dist import RngStream
 from .samplers import ChainOutput, KernelKind, RunConfig, map_jobs, run_chain
@@ -28,8 +28,8 @@ __all__ = ["main", "entry", "read_dataset_csv", "write_dataset_csv",
            "run_bench", "BenchGrid", "BenchRow"]
 
 
-class UsageError(Exception):
-    """Bad flags or inconsistent inputs; mapped to exit code 2."""
+class UsageError(ValueError):
+    """Bad flags or inconsistent inputs; `main` maps every ValueError to exit 2."""
 
 
 def _f17(x: float) -> str:
@@ -44,14 +44,14 @@ def _f4(x: float) -> str:
 # dataset CSV
 # ---------------------------------------------------------------------------
 
-def _parse_group_sizes(text: str) -> list[int]:
-    try:
-        sizes = [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"could not parse group sizes '{text}'") from exc
-    if not sizes or any(s < 1 for s in sizes):
-        raise UsageError(f"group sizes must be positive integers, got '{text}'")
-    return sizes
+def _csv_list(convert):
+    """An argparse type: a comma-separated list, each entry through `convert`."""
+    def parse(text: str) -> list:
+        try:
+            return [convert(tok.strip()) for tok in text.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad list '{text}': {exc}") from exc
+    return parse
 
 
 def read_dataset_csv(path: str, y_col: int = 0,
@@ -60,8 +60,10 @@ def read_dataset_csv(path: str, y_col: int = 0,
     """Read a numeric CSV: one column is the response, the rest the design.
 
     A leading comment line of the form ``# groups: 5,5,5`` supplies group
-    sizes; an explicit `group_sizes` argument overrides it. Errors name the
-    offending row and column (1-based).
+    sizes; an explicit `group_sizes` argument overrides it. Whether the sizes
+    cover the predictors is not checked here: `ModelSpec.validate_for` checks
+    it for the models that use groups. Errors name the offending row and
+    column (1-based).
     """
     rows: list[list[float]] = []
     sidecar: list[int] | None = None
@@ -79,7 +81,7 @@ def read_dataset_csv(path: str, y_col: int = 0,
         if text.startswith("#"):
             body = text[1:].strip()
             if body.startswith("groups:"):
-                sidecar = _parse_group_sizes(body[len("groups:"):])
+                sidecar = _csv_list(int)(body[len("groups:"):])
             continue
         values = []
         for j, cell in enumerate(text.split(",")):
@@ -110,13 +112,7 @@ def read_dataset_csv(path: str, y_col: int = 0,
     dataset = Dataset(y=y, x=x)
 
     sizes = group_sizes if group_sizes is not None else sidecar
-    groups = None
-    if sizes is not None:
-        total = sum(sizes)
-        if total != dataset.p:
-            raise UsageError(f"group sizes sum {total} != p {dataset.p}")
-        groups = GroupStructure(np.asarray(sizes, dtype=np.int64))
-    return dataset, groups
+    return dataset, None if sizes is None else GroupStructure(sizes)
 
 
 def write_dataset_csv(data: Dataset | SimulatedDataset, path: str) -> None:
@@ -135,13 +131,6 @@ def write_dataset_csv(data: Dataset | SimulatedDataset, path: str) -> None:
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
-
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got '{text}'") from exc
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -170,6 +159,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--long-run", action="store_true",
                        help="use 100000 iterations with 10000 burn-in")
+        p.add_argument("--n", type=_csv_list(int),
+                       help="comma-separated row counts (one for run)")
+        p.add_argument("--K", type=_csv_list(int),
+                       help="comma-separated group counts for s1, p = 5K (one for run)")
+        p.add_argument("--p", type=_csv_list(int),
+                       help="comma-separated column counts for s2/wide/tall (one for run)")
 
     run_p = sub.add_parser("run", help="run one chain and report diagnostics")
     add_common(run_p)
@@ -178,10 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--data", help="dataset CSV (response column plus design)")
     run_p.add_argument("--y-col", type=int, default=0,
                        help="index of the response column in --data")
-    run_p.add_argument("--groups", help="comma-separated group sizes for --data")
-    run_p.add_argument("--n", type=int, help="rows for a generated scenario")
-    run_p.add_argument("--K", type=int, help="groups for scenario s1 (p = 5K)")
-    run_p.add_argument("--p", type=int, help="columns for scenarios s2/wide/tall")
+    run_p.add_argument("--groups", type=_csv_list(int),
+                       help="comma-separated group sizes for --data")
     run_p.add_argument("--store-beta", action="store_true",
                        help="store coefficient draws as well")
     run_p.add_argument("--report", help="write the JSON report here (default stdout)")
@@ -190,14 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p = sub.add_parser("bench", help="replicated benchmark grid")
     add_common(bench_p)
     bench_p.set_defaults(lam=1.0, lam1=1.0, lam2=1.0)
-    bench_p.add_argument("--kernels", default="2bg,3bg",
+    bench_p.add_argument("--kernels", type=_csv_list(KernelKind), default="2bg,3bg",
                          help="comma-separated kernel list")
-    bench_p.add_argument("--n", type=_int_list, required=True,
-                         help="comma-separated row counts")
-    bench_p.add_argument("--K", type=_int_list,
-                         help="comma-separated group counts for s1 (p = 5K)")
-    bench_p.add_argument("--p", type=_int_list,
-                         help="comma-separated column counts for s2/wide/tall")
     bench_p.add_argument("--reps", type=int, default=100,
                          help="datasets per grid cell")
     bench_p.add_argument("--jobs", type=int, default=1,
@@ -217,11 +204,8 @@ def _resolve_run_config(args, store_beta: bool = False) -> RunConfig:
     else:
         iters = 10_000 if args.iters is None else args.iters
         burnin = 1_000 if args.burnin is None else args.burnin
-    try:
-        config = RunConfig(n_iter=iters, burn_in=burnin, seed=args.seed,
-                           store_beta=store_beta, thin=args.thin)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    config = RunConfig(n_iter=iters, burn_in=burnin, seed=args.seed,
+                       store_beta=store_beta, thin=args.thin)
     kept = (iters - burnin) // args.thin
     if kept < MIN_ESS_DRAWS:
         raise UsageError(
@@ -240,15 +224,17 @@ def _resolve_model(args, groups: GroupStructure | None) -> ModelSpec:
                if getattr(args, name) is None]
     if missing:
         raise UsageError(f"{kind.value} requires {' and '.join(missing)}")
+    for name in kind.penalties:
+        value = getattr(args, name)
+        if not (value > 0 and math.isfinite(value)):
+            raise UsageError(f"{_PENALTY_FLAGS[name]} must be > 0 and finite, "
+                             f"got {value}")
     if kind.grouped and groups is None:
         raise UsageError(f"{kind.value} requires group sizes: --groups with "
                          f"--data, or a grouped scenario (s1, wide or tall)")
-    try:
-        return ModelSpec(kind, args.alpha, args.xi,
-                         groups=groups if kind.grouped else None,
-                         **{name: getattr(args, name) for name in kind.penalties})
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return ModelSpec(kind, args.alpha, args.xi,
+                     groups=groups if kind.grouped else None,
+                     **{name: getattr(args, name) for name in kind.penalties})
 
 
 def _check_distinct(flag: str, values) -> None:
@@ -266,10 +252,7 @@ def _scenario_cells(scenario: str, ns, ks, ps) -> tuple[ScenarioSpec, ...]:
             raise UsageError(f"scenario {sc.value} requires {name}")
         _check_distinct(name, given)
     dims = [5 * k for k in values] if sc is Scenario.GROUPED_POLY else values
-    try:
-        return tuple(ScenarioSpec(sc, n, p) for n in ns for p in dims)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return tuple(ScenarioSpec(sc, n, p) for n in ns for p in dims)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +260,10 @@ def _scenario_cells(scenario: str, ns, ks, ps) -> tuple[ScenarioSpec, ...]:
 # ---------------------------------------------------------------------------
 
 def _report_dict(output: ChainOutput) -> dict:
-    rep = diagnose(output)
+    try:
+        rep = diagnose(output)
+    except ValueError as exc:  # e.g. draws whose variance underflows to zero
+        raise BlockGibbsError(f"cannot diagnose the chain: {exc}") from exc
     return {
         "model": output.model.kind.value,
         "kernel": output.kernel.value,
@@ -311,27 +297,19 @@ def _cmd_run(args) -> int:
         raise UsageError("provide exactly one of --data or --scenario")
     config = _resolve_run_config(args, store_beta=args.store_beta)
     if args.data is not None:
-        group_sizes = _parse_group_sizes(args.groups) if args.groups else None
-        dataset, groups = read_dataset_csv(args.data, args.y_col, group_sizes)
+        dataset, groups = read_dataset_csv(args.data, args.y_col, args.groups)
     else:
-        sizes = [None if v is None else [v] for v in (args.n, args.K, args.p)]
-        (cell,) = _scenario_cells(args.scenario, *sizes)
-        sim = cell.generate(RngStream.from_key(args.seed, 0))
+        cells = _scenario_cells(args.scenario, args.n, args.K, args.p)
+        if len(cells) != 1:
+            raise UsageError(f"run takes one value each for --n and --K/--p, "
+                             f"got {len(cells)} cells")
+        sim = cells[0].generate(RngStream.from_key(args.seed, 0))
         dataset, groups = sim.dataset, sim.groups
 
-    model = _resolve_model(args, groups)
-    try:
-        model.validate_for(dataset)
-    except (ValueError, DimensionMismatchError) as exc:
-        raise UsageError(str(exc)) from exc
-
-    output = run_chain(KernelKind(args.kernel), model, dataset, config,
-                       rng=RngStream.from_key(args.seed, 1))
-    try:
-        report = _report_dict(output)
-    except ValueError as exc:  # e.g. draws whose variance underflows to zero
-        raise BlockGibbsError(f"cannot diagnose the chain: {exc}") from exc
-    text = json.dumps(report, indent=2)
+    # run_chain checks the model against the data before it draws anything
+    output = run_chain(KernelKind(args.kernel), _resolve_model(args, groups),
+                       dataset, config, rng=RngStream.from_key(args.seed, 1))
+    text = json.dumps(_report_dict(output), indent=2)
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(text + "\n")
@@ -451,29 +429,20 @@ def _aggregate(rows: list[BenchRow]) -> list[dict]:
     return out
 
 
-def _kernel_list(text: str) -> tuple[KernelKind, ...]:
-    names = [k.strip() for k in text.split(",") if k.strip()]
-    if not names:
-        raise UsageError("need at least one kernel")
-    for name in names:
-        if name not in {k.value for k in KernelKind}:
-            raise UsageError(f"unknown kernel '{name}'")
-    _check_distinct("--kernels", names)
-    return tuple(KernelKind(name) for name in names)
-
-
 def _grid_from_args(args) -> BenchGrid:
     if args.scenario is None:
         raise UsageError("bench requires --scenario")
     if args.reps < 1:
         raise UsageError("--reps must be >= 1")
-    kernels = _kernel_list(args.kernels)
+    if not args.kernels:
+        raise UsageError("need at least one kernel")
+    _check_distinct("--kernels", [k.value for k in args.kernels])
     config = _resolve_run_config(args)
     cells = _scenario_cells(args.scenario, args.n, args.K, args.p)
     # the models are resolved, and so checked, before any job starts
     models = tuple(_resolve_model(args, cell.groups) for cell in cells)
     return BenchGrid(scenario=Scenario(args.scenario), cells=cells, models=models,
-                     kernels=kernels, reps=args.reps, config=config)
+                     kernels=tuple(args.kernels), reps=args.reps, config=config)
 
 
 def run_bench(args) -> tuple[list[BenchRow], list[dict]]:
@@ -513,8 +482,8 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_bench(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OverflowError, argparse.ArgumentTypeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)  # a rejected input
         return 2
     except BlockGibbsError as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from blockgibbs import (
     Dataset,
+    DimensionMismatchError,
     GroupStructure,
     ModelKind,
     ModelSpec,
@@ -57,8 +58,24 @@ def test_read_csv_group_sizes(tmp_path):
     path = write_lines(tmp_path / "d.csv", rows)
     _, groups = read_dataset_csv(path, group_sizes=[5, 5])
     assert groups.n_groups == 2
-    with pytest.raises(UsageError, match=r"group sizes sum 9 != p 10"):
-        read_dataset_csv(path, group_sizes=[5, 4])
+
+
+def test_groups_line_is_checked_only_for_the_group_models(tmp_path, capsys):
+    # the reader leaves coverage to ModelSpec.validate_for, which run_chain
+    # calls before it draws anything: a fused model ignores group sizes, so
+    # sizes that do not cover p are no reason to refuse it
+    rng = np.random.default_rng(4)
+    rows = [",".join(map(repr, rng.standard_normal(3).tolist())) for _ in range(8)]
+    path = write_lines(tmp_path / "f.csv", ["# groups: 3", *rows])
+    chain = ["--kernel", "2bg", "--data", path, "--iters", "150", "--burnin", "20"]
+    assert main(["run", "--model", "fused-lasso", "--lambda1", "1", "--lambda2", "1",
+                 *chain]) == 0
+    assert json.loads(capsys.readouterr().out)["p"] == 2
+    for groups in ([], ["--groups", "1,1,1"]):
+        assert main(["run", "--model", "group-lasso", "--lambda", "1", *chain,
+                     *groups]) == 2
+        assert capsys.readouterr().err == ("error: group sizes sum vs coefficient "
+                                           "count: expected length 2, got 3\n")
 
 
 def test_read_csv_sidecar_groups(tmp_path):
@@ -263,6 +280,17 @@ def test_missing_penalty_names_field_and_flag(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert f"argument {PENALTY_FLAGS[name]}" in err and "Traceback" not in err
     assert not raw.exists()
+    # a bad value is named by its flag too, with one message from run and bench
+    for value in (0.0, -1.0, math.nan, math.inf):
+        flags = [f"{PENALTY_FLAGS[field]}={value if field == name else 1}"
+                 for field in kind.penalties]
+        assert main(["run", "--model", kind.value, "--kernel", "2bg", "--scenario",
+                     "s1", "--n", "20", "--K", "1", *flags]) == 2
+        assert main(argv + flags) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: {PENALTY_FLAGS[name]} must be > 0 and finite, "
+                         f"got {value}"] * 2
+        assert not raw.exists()
 
 
 def test_run_requires_exactly_one_data_source(tmp_path, capsys):
@@ -370,7 +398,8 @@ BAD_VALUES = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf])
 @given(model=st.sampled_from(["group-lasso", "sparse-group-lasso", "fused-lasso"]),
        kernel=st.sampled_from(["2bg", "3bg"]),
        scenario=st.sampled_from(["s1", "s2", "wide", "tall"]),
-       n=st.integers(-1, 12), dim=st.sampled_from([-5, 0, 3, 5, 10, 10, 20, 20]),
+       ns=st.lists(st.integers(-1, 12), min_size=1, max_size=2),
+       dim=st.sampled_from([-5, 0, 3, 5, 10, 10, 20, 20]),
        hyper=st.fixed_dictionaries({"lambda": GOOD_VALUES, "lambda1": GOOD_VALUES,
                                     "lambda2": GOOD_VALUES,
                                     "alpha": st.sampled_from([0.0, 1.0]),
@@ -378,31 +407,80 @@ BAD_VALUES = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf])
        bad=st.sampled_from([None, None, "lambda", "lambda1", "lambda2", "alpha", "xi"]),
        bad_value=BAD_VALUES,
        chain=st.sampled_from([(200, 0, 1), (150, 20, 1), (120, 0, 1), (200, 0, 2),
-                              (0, 0, 1), (99, 0, 1), (130, -1, 1), (200, 0, 0)]))
-def test_run_exit_code_property(model, kernel, scenario, n, dim, hyper, bad,
-                                bad_value, chain):
+                              (0, 0, 1), (99, 0, 1), (130, -1, 1), (200, 0, 0)]),
+       groups=st.sampled_from([None, None, "5", "0,2", ",", "x", "1,,x", "1.5"]))
+def test_run_exit_code_property(model, kernel, scenario, ns, dim, hyper, bad,
+                                bad_value, chain, groups):
     # any combination of run arguments ends in 0, 2 or 3, never a traceback;
     # at most one hyperparameter is made invalid, so that most runs get as
     # far as the sampler; scenario s1 reads dim as K (p = 5K) and the others
-    # as p, so p > n occurs
+    # as p, so p > n occurs; run takes one --n value, and a --groups list
+    # (ignored with --scenario) must still parse as integers
     if bad is not None:
         hyper[bad] = bad_value
     iters, burnin, thin = chain
     argv = ["run", "--model", model, "--kernel", kernel, "--scenario", scenario,
-            "--n", str(n), "--K" if scenario == "s1" else "--p", str(dim),
-            "--iters", str(iters), "--burnin", str(burnin), "--thin", str(thin)]
+            "--n=" + ",".join(map(str, ns)), "--K" if scenario == "s1" else "--p",
+            str(dim), "--iters", str(iters), "--burnin", str(burnin),
+            "--thin", str(thin)]
     argv += [f"--{name}={value}" for name, value in hyper.items()]
+    if groups is not None:
+        argv.append(f"--groups={groups}")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2, 3), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if len(ns) > 1 or groups in ("x", "1,,x", "1.5"):
+        assert code == 2
     if code == 0:
         assert json.loads(out.getvalue())["iters"] == iters
 
 
 def test_run_bad_flag_exits_2():
     assert main(["run", "--model", "no-such-model", "--kernel", "2bg"]) == 2
+
+
+RUN_S1 = ["run", "--model", "group-lasso", "--kernel", "2bg", "--scenario", "s1",
+          "--n", "20", "--K", "1", "--lambda", "1", "--iters", "150", "--burnin", "20"]
+
+
+def test_run_takes_one_cell(capsys):
+    # --n, --K and --p are the list flags bench takes, with one value each
+    argv = list(RUN_S1)
+    argv[argv.index("--n") + 1] = "20,30"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: run takes one value each for --n and --K/--p")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("groups,line", [(["--groups", "0,2"], None),
+                                         (["--groups", ","], None),
+                                         (["--groups", "1" + "0" * 20], None),
+                                         ([], "# groups: 0,x")])
+def test_run_bad_group_sizes_exit_2(tmp_path, capsys, groups, line):
+    header = [] if line is None else [line]
+    path = write_lines(tmp_path / "d.csv", header + ["1,2,3", "4,5,6", "7,8,8"])
+    assert main(RUN_DATA + ["--data", path, *groups]) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc,code", [
+    (DimensionMismatchError("beta length", 3, 2), 2),
+    (SamplerError(4, "injected"), 3),
+])
+def test_run_maps_library_errors_to_exit_codes(monkeypatch, capsys, exc, code):
+    # a DimensionMismatchError is both a ValueError and a BlockGibbsError;
+    # main maps ValueError (a rejected input) to 2 before runtime failures
+    def failing_chain(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_chain", failing_chain)
+    assert main(RUN_S1) == code
+    err = capsys.readouterr().err
+    assert str(exc) in err and "Traceback" not in err
 
 
 def test_run_writes_draws(tmp_path):
@@ -578,6 +656,19 @@ def test_bench_repeated_list_entry_exits_2_before_any_job(tmp_path, monkeypatch,
     assert code == 2
     err = capsys.readouterr().err
     assert "repeats an entry" in err and "Traceback" not in err
+    assert not raw.exists() and not agg.exists()
+
+
+@pytest.mark.parametrize("kernels,message", [("2bg,4bg", "'4bg' is not a valid"),
+                                             (",", "need at least one kernel"),
+                                             ("2bg, 2bg", "repeats an entry: 2bg,2bg")])
+def test_bench_bad_kernel_list_exits_2_before_any_job(tmp_path, monkeypatch, capsys,
+                                                      kernels, message):
+    monkeypatch.setattr(cli, "map_jobs", lambda *args, **kw: pytest.fail("a job ran"))
+    argv, raw, agg = bench_args(tmp_path, "k", extra=[f"--kernels={kernels}"])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and message in err and "Traceback" not in err
     assert not raw.exists() and not agg.exists()
 
 
