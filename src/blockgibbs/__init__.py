@@ -24,7 +24,6 @@ from .model_core import (
     ChainState,
     Dataset,
     GroupStructure,
-    LatentScales,
     ModelKind,
     ModelSpec,
     SymmetricTridiagonal,
@@ -46,7 +45,6 @@ from .samplers import (
     map_jobs,
     run_chain,
     sample_mvn_precision,
-    step,
 )
 from .simgen import (
     Scenario,

@@ -171,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--kernel", required=True,
                        choices=[k.value for k in KernelKind])
     run_p.add_argument("--data", help="dataset CSV (response column plus design)")
-    run_p.add_argument("--y-col", type=int, default=0,
-                       help="index of the response column in --data")
+    run_p.add_argument("--y-col", type=int,
+                       help="index of the response column in --data (default 0)")
     run_p.add_argument("--groups", type=_csv_list(int),
                        help="comma-separated group sizes for --data")
     run_p.add_argument("--store-beta", action="store_true",
@@ -295,9 +295,15 @@ def _write_draws_csv(output: ChainOutput, path: str) -> None:
 def _cmd_run(args) -> int:
     if (args.data is None) == (args.scenario is None):
         raise UsageError("provide exactly one of --data or --scenario")
+    source, foreign = (("--data", ["n", "K", "p"]) if args.data is not None
+                       else ("--scenario", ["groups", "y_col"]))
+    given = ["--" + name.replace("_", "-") for name in foreign
+             if getattr(args, name) is not None]
+    if given:
+        raise UsageError(f"{' and '.join(given)} cannot be used with {source}")
     config = _resolve_run_config(args, store_beta=args.store_beta)
     if args.data is not None:
-        dataset, groups = read_dataset_csv(args.data, args.y_col, args.groups)
+        dataset, groups = read_dataset_csv(args.data, args.y_col or 0, args.groups)
     else:
         cells = _scenario_cells(args.scenario, args.n, args.K, args.p)
         if len(cells) != 1:

@@ -28,7 +28,7 @@ class FactorizationError(BlockGibbsError, RuntimeError):
 
 
 class SamplerError(BlockGibbsError, RuntimeError):
-    """A Gibbs step failed; carries the iteration index for context."""
+    """A Gibbs iteration failed; carries the iteration index for context."""
 
     def __init__(self, iteration: int, detail: str):
         self.iteration = iteration

@@ -74,11 +74,13 @@ class GroupStructure:
     group_sizes: np.ndarray
 
     def __post_init__(self):
-        sizes = np.ascontiguousarray(self.group_sizes, dtype=np.int64)
-        if sizes.ndim != 1 or sizes.shape[0] == 0:
-            raise ValueError("group_sizes must be a nonempty 1-D integer vector")
-        if np.any(sizes < 1):
-            raise ValueError(f"every group size must be >= 1, got {sizes.tolist()}")
+        given = np.asarray(self.group_sizes)
+        with np.errstate(invalid="ignore"):  # a non-finite size fails the check
+            sizes = given.astype(np.int64)
+        if (given.ndim != 1 or given.shape[0] == 0 or np.any(sizes != given)
+                or np.any(sizes < 1)):
+            raise ValueError(f"group sizes must be a nonempty list of positive "
+                             f"integers, got {given.tolist()}")
         object.__setattr__(self, "group_sizes", sizes)
         offsets = np.zeros(sizes.shape[0], dtype=np.int64)
         np.cumsum(sizes[:-1], out=offsets[1:])
@@ -152,36 +154,12 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class LatentScales:
-    """Mixing variances of the scale-mixture representation.
-
-    tau2 has one entry per group for the group models and one per
-    coefficient for the fused model; gamma2 (sparse group only) has one per
-    coefficient; omega2 (fused only) has one per successive difference.
-    """
-
-    tau2: np.ndarray
-    gamma2: np.ndarray | None = None
-    omega2: np.ndarray | None = None
-
-    def __post_init__(self):
-        for name in ("tau2", "gamma2", "omega2"):
-            v = getattr(self, name)
-            if v is None:
-                continue
-            v = np.ascontiguousarray(v, dtype=np.float64)
-            if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
-                raise ValueError(f"{name} entries must be finite and > 0")
-            object.__setattr__(self, name, v)
-
-
-@dataclass(frozen=True)
 class ChainState:
-    """Current Gibbs state: coefficients, residual variance, latent scales."""
+    """The state one Gibbs iteration hands the next, (beta, sigma2): both
+    kernels draw the latent scales first, from the incoming beta and sigma2."""
 
     beta: np.ndarray
     sigma2: float
-    scales: LatentScales
 
     def __post_init__(self):
         beta = np.ascontiguousarray(self.beta, dtype=np.float64)

@@ -9,12 +9,12 @@ residual variance is drawn afterwards:
 * three-block: residual variance from its conditional given the incoming
   coefficients and the fresh scales, then the coefficients.
 
-Either way a step performs exactly one Cholesky factorization, reused for
-the variance draw (two-block) and for the coefficient draw. Each
+Either way an iteration performs exactly one Cholesky factorization, reused
+for the variance draw (two-block) and for the coefficient draw. Each
 conditional is written once, here: the prior precision from the latent
 scales (`_prior_precision`), the two residual-variance scales and the
-coefficient draw. `step` runs one iteration of the same code as `run_chain`,
-and `sample_mvn_precision` makes the dense update's coefficient draw.
+coefficient draw. `run_chain` is the one chain driver, and
+`sample_mvn_precision` makes the dense update's coefficient draw.
 
 Which matrix is factored is decided once per chain from the model and the
 data shape:
@@ -26,7 +26,7 @@ data shape:
   Bhattacharya, Chakraborty & Mallick (2016, Biometrika 103(4)). The
   two-block scale is the sum of squares 0.5 ||L^-1 y||^2 + xi.
 
-Draw-order contract per step (fixed for reproducibility): group scales
+Draw-order contract per iteration (fixed for reproducibility): group scales
 first, then per-coefficient / per-difference scales, then the residual
 variance (one gamma draw), then the coefficient noise. The dense update
 draws p standard normals z for the noise; the n-space update makes one
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -50,7 +51,6 @@ from .errors import DimensionMismatchError, FactorizationError, SamplerError
 from .model_core import (
     ChainState,
     Dataset,
-    LatentScales,
     ModelKind,
     ModelSpec,
     add_prior_precision,
@@ -66,7 +66,6 @@ __all__ = [
     "initial_chain_state",
     "map_jobs",
     "sample_mvn_precision",
-    "step",
 ]
 
 
@@ -86,6 +85,9 @@ class RunConfig:
     thin: int = 1
 
     def __post_init__(self):
+        for name in ("n_iter", "burn_in", "thin", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_iter < 1:
             raise ValueError("n_iter must be >= 1")
         if not 0 <= self.burn_in < self.n_iter:
@@ -225,11 +227,20 @@ def sample_mvn_precision(b: np.ndarray, precision: np.ndarray, sigma2: float,
     """Draw from N(A^-1 b, sigma2 * A^-1) given the precision matrix A.
 
     One Cholesky factorization, reused by the mean and the noise term; the
-    draw is the dense block update's coefficient draw.
+    draw is the dense block update's coefficient draw. `precision` must be
+    square and `b` of its order (`DimensionMismatchError` otherwise).
     """
     _require_positive(sigma2=sigma2)
     b = np.asarray(b, dtype=np.float64)
-    chol = cholesky_spd(np.asarray(precision, dtype=np.float64), "precision")
+    precision = np.asarray(precision, dtype=np.float64)
+    if precision.ndim != 2:
+        raise DimensionMismatchError("precision dimensions", 2, precision.ndim)
+    if precision.shape[0] != precision.shape[1]:
+        raise DimensionMismatchError("precision columns vs rows", *precision.shape)
+    if b.shape != precision.shape[:1]:
+        raise DimensionMismatchError("b length vs precision order",
+                                     precision.shape[0], b.size)
+    chol = cholesky_spd(precision, "precision")
     return _beta_from_factor(chol, solve_lower(chol, b), sigma2, rng.generator)
 
 
@@ -315,87 +326,29 @@ def _block_update(spec: ModelSpec, dataset: Dataset) -> str:
     return "dense"
 
 
-def _scale_sizes(spec: ModelSpec, p: int) -> dict[str, int]:
-    """The model's latent-scale vectors and their lengths, in draw order."""
-    if spec.kind is ModelKind.FUSED_LASSO:
-        return {"tau2": p, "omega2": p - 1}
-    if spec.kind is ModelKind.GROUP_LASSO:
-        return {"tau2": spec.groups.n_groups}
-    return {"tau2": spec.groups.n_groups, "gamma2": p}
-
-
-def _inv_scales_of(spec: ModelSpec, scales: LatentScales, p: int) -> tuple[np.ndarray, ...]:
-    return tuple(1.0 / getattr(scales, name) for name in _scale_sizes(spec, p))
-
-
-def _scales_of(spec: ModelSpec, inv_scales: tuple[np.ndarray, ...], p: int) -> LatentScales:
-    return LatentScales(**{name: 1.0 / inv
-                           for name, inv in zip(_scale_sizes(spec, p), inv_scales)})
-
-
-def _check_state(spec: ModelSpec, state: ChainState, p: int) -> None:
-    """Reject a state whose coefficients or latent scales do not fit the model."""
-    if state.beta.shape != (p,):
-        raise DimensionMismatchError("beta length vs coefficient count",
-                                     p, state.beta.size)
-    for name, size in _scale_sizes(spec, p).items():
-        values = getattr(state.scales, name)
-        if values is None:
-            raise ValueError(f"a {spec.kind.value} state needs {name} scales")
-        if values.shape != (size,):
-            raise DimensionMismatchError(f"{name} length", size, values.size)
-
-
-def step(kernel: KernelKind, state: ChainState, dataset: Dataset,
-         spec: ModelSpec, rng: RngStream) -> ChainState:
-    """One Gibbs iteration of `kernel` ("2bg" or "3bg") from `state`.
-
-    Runs the chain loop's body: the same draws, in the same order, as one
-    iteration of `run_chain` from this state. Each call rebuilds the chain's
-    scratch (X^T X for the dense update, O(n p^2); else the n-space arrays),
-    so for more than one iteration call `run_chain(..., initial_state=state)`.
-    """
-    kernel = KernelKind(kernel)
-    spec.validate_for(dataset)
-    _check_state(spec, state, dataset.p)
-    block = _BLOCK_SAMPLERS[_block_update(spec, dataset)](spec, dataset, kernel)
-    gen = rng.generator
-    with np.errstate(**_QUIET):
-        inv_scales = _latent_sampler(spec)(state.beta, state.sigma2, gen)
-        beta, sigma2 = block(state.beta, _prior_precision(spec, inv_scales), gen)
-    return ChainState(beta=beta, sigma2=sigma2,
-                      scales=_scales_of(spec, inv_scales, dataset.p))
-
-
-def initial_chain_state(spec: ModelSpec, dataset: Dataset) -> ChainState:
-    """Deterministic start: zero coefficients, response variance, unit scales."""
-    p = dataset.p
+def initial_chain_state(dataset: Dataset) -> ChainState:
+    """Deterministic start: zero coefficients and the response variance."""
     sigma2 = float(np.var(dataset.y, ddof=1)) if dataset.n > 1 else 1.0
     if not (math.isfinite(sigma2) and sigma2 > 0.0):
         sigma2 = 1.0
-    scales = LatentScales(**{name: np.ones(size)
-                             for name, size in _scale_sizes(spec, p).items()})
-    return ChainState(beta=np.zeros(p), sigma2=sigma2, scales=scales)
+    return ChainState(beta=np.zeros(dataset.p), sigma2=sigma2)
 
 
 def run_chain(kernel: KernelKind, spec: ModelSpec, dataset: Dataset,
               config: RunConfig, *, rng: RngStream | None = None,
-              initial_state: ChainState | None = None,
-              freeze_scales: bool = False) -> ChainOutput:
+              initial_state: ChainState | None = None) -> ChainOutput:
     """Run one Gibbs chain and store post-burn-in, thinned draws.
 
-    `freeze_scales` is a test hook: it skips the latent-scale update so the
-    (sigma2, beta) block is drawn with the scales pinned at their values in
-    `initial_state` (under the two-block kernel this makes the stored draws
-    i.i.d. from the exact conditional posterior).
+    The chain starts from `initial_state` (default `initial_chain_state`).
+    Under `RunConfig(n_iter=1, burn_in=0, store_beta=True)` it runs one
+    iteration, and the stored draws are the state that iteration hands on.
     """
     kernel = KernelKind(kernel)
     spec.validate_for(dataset)
-    if initial_state is None:
-        state = initial_chain_state(spec, dataset)
-    else:
-        state = initial_state
-        _check_state(spec, state, dataset.p)
+    state = initial_chain_state(dataset) if initial_state is None else initial_state
+    if state.beta.shape != (dataset.p,):
+        raise DimensionMismatchError("beta length vs coefficient count",
+                                     dataset.p, state.beta.size)
     update = _block_update(spec, dataset)
     rng = RngStream(config.seed) if rng is None else rng
 
@@ -410,14 +363,10 @@ def run_chain(kernel: KernelKind, spec: ModelSpec, dataset: Dataset,
     beta_draws = np.empty((n_keep, dataset.p)) if config.store_beta else None
 
     with np.errstate(**_QUIET):
-        if freeze_scales:
-            inv_scales = _inv_scales_of(spec, state.scales, dataset.p)
-            prior_inv = _prior_precision(spec, inv_scales)
         t0 = time.perf_counter()
         for it in range(config.n_iter):
             try:
-                if not freeze_scales:
-                    prior_inv = _prior_precision(spec, latent(beta, sigma2, gen))
+                prior_inv = _prior_precision(spec, latent(beta, sigma2, gen))
                 beta, sigma2 = block(beta, prior_inv, gen)
             except (ValueError, FactorizationError) as exc:
                 raise SamplerError(it, str(exc)) from exc

@@ -1,7 +1,7 @@
-"""A stub random generator that reads the block update's affine maps off exactly."""
+"""Stubs that read the block update off exactly, and its frozen-scale draws."""
 import numpy as np
 
-from blockgibbs import KernelKind, samplers
+from blockgibbs import KernelKind, RngStream, samplers
 
 
 class BasisGenerator:
@@ -27,13 +27,39 @@ class BasisGenerator:
         return z
 
 
+def chain_block_update(spec, dataset, kernel):
+    """The block update `draw(beta, prior_inv, gen)` a chain runs on this model and data."""
+    update = samplers._block_update(spec, dataset)
+    return samplers._BLOCK_SAMPLERS[update](spec, dataset, KernelKind(kernel))
+
+
 def block_draw(spec, dataset, kernel, beta, prior_inv, gen=None):
     """(new beta, sigma2) from the chain's own block update for this model and data.
 
     With the default `BasisGenerator()` these are the conditional mean of
     beta and the scale of the sigma2 conditional.
     """
-    update = samplers._block_update(spec, dataset)
-    draw = samplers._BLOCK_SAMPLERS[update](spec, dataset, KernelKind(kernel))
-    return draw(np.asarray(beta, dtype=np.float64), prior_inv,
-                BasisGenerator() if gen is None else gen)
+    return chain_block_update(spec, dataset, kernel)(
+        np.asarray(beta, dtype=np.float64), prior_inv,
+        BasisGenerator() if gen is None else gen)
+
+
+def frozen_scale_draws(spec, dataset, kernel, inv_scales, n_iter, seed):
+    """(sigma2 draws, beta draws) of the chain's block update, latent scales held fixed.
+
+    Loops the chain's own block update from beta = 0 on `RngStream(seed)`,
+    with the prior precision built by the chain's `_prior_precision` from the
+    reciprocal scales `inv_scales`, under the chain loop's floating-point
+    state. Under the two-block kernel the draws are i.i.d. from the exact
+    conditional posterior given those scales.
+    """
+    draw = chain_block_update(spec, dataset, kernel)
+    prior_inv = samplers._prior_precision(spec, inv_scales)
+    gen = RngStream(seed).generator
+    sigma2_draws, beta_draws = np.empty(n_iter), np.empty((n_iter, dataset.p))
+    beta = np.zeros(dataset.p)
+    with np.errstate(**samplers._QUIET):
+        for it in range(n_iter):
+            beta, sigma2_draws[it] = draw(beta, prior_inv, gen)
+            beta_draws[it] = beta
+    return sigma2_draws, beta_draws

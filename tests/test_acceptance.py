@@ -17,11 +17,9 @@ import pytest
 from scipy.signal import lfilter
 
 from blockgibbs import (
-    ChainState,
     Dataset,
     GroupStructure,
     KernelKind,
-    LatentScales,
     ModelSpec,
     RngStream,
     RunConfig,
@@ -35,10 +33,9 @@ from blockgibbs import (
     sample_inverse_gaussian,
     sample_mvn_precision,
     samplers,
-    step,
 )
 from blockgibbs.cli import main as cli_main
-from block_stubs import block_draw
+from block_stubs import block_draw, frozen_scale_draws
 
 # ---------------------------------------------------------------------------
 # tiny-instance posterior means from the quadrature oracles
@@ -102,12 +99,8 @@ def test_criterion_1_conjugate_exactness():
     groups = GroupStructure(np.array([2, 1]))
     spec = ModelSpec.group_lasso(1.0, groups)
     tau2 = np.array([0.7, 1.3])
-    state = ChainState(beta=np.zeros(p), sigma2=1.0,
-                       scales=LatentScales(tau2=tau2))
-
-    out = run_chain(KernelKind.TWO_BLOCK, spec, ds,
-                    RunConfig(n_iter=100_000, burn_in=0, seed=1, store_beta=True),
-                    initial_state=state, freeze_scales=True)
+    sigma2_draws, beta_draws = frozen_scale_draws(
+        spec, ds, KernelKind.TWO_BLOCK, (1.0 / tau2,), n_iter=100_000, seed=1)
 
     # independent dense-arithmetic targets
     prior_inv = np.repeat(1.0 / tau2, [2, 1])
@@ -118,13 +111,13 @@ def test_criterion_1_conjugate_exactness():
     target_sigma2 = scale / (shape - 1.0)
     target_beta = a_inv @ (x.T @ y)
 
-    m = out.sigma2_draws.size
-    se_s2 = out.sigma2_draws.std(ddof=1) / math.sqrt(m)
-    err_s2 = abs(out.sigma2_draws.mean() - target_sigma2)
+    m = sigma2_draws.size
+    se_s2 = sigma2_draws.std(ddof=1) / math.sqrt(m)
+    err_s2 = abs(sigma2_draws.mean() - target_sigma2)
     assert err_s2 < 4 * se_s2, f"sigma2 mean off by {err_s2} vs 4*SE {4 * se_s2}"
 
-    se_b = out.beta_draws.std(axis=0, ddof=1) / math.sqrt(m)
-    err_b = np.abs(out.beta_draws.mean(axis=0) - target_beta)
+    se_b = beta_draws.std(axis=0, ddof=1) / math.sqrt(m)
+    err_b = np.abs(beta_draws.mean(axis=0) - target_beta)
     assert np.all(err_b < 4 * se_b), f"beta mean off by {err_b} vs 4*SE {4 * se_b}"
 
     elapsed = time.perf_counter() - t0
@@ -358,7 +351,7 @@ def test_criterion_9_structural_invariants(tmp_path):
     assert updates == {"dense", "nspace"}
     print("[criterion 9] quadratic-form identity holds to 1e-8 relative")
 
-    # one factorization per step, both kernels
+    # one factorization per iteration, both kernels: one run_chain iteration
     rngx = np.random.default_rng(92)
     x = rngx.standard_normal((10, 4))
     ds = Dataset(y=rngx.standard_normal(10), x=x)
@@ -369,11 +362,11 @@ def test_criterion_9_structural_invariants(tmp_path):
          KernelKind.TWO_BLOCK),
         (ModelSpec.fused_lasso(1.0, 1.0), KernelKind.THREE_BLOCK),
     ]:
-        state = initial_chain_state(spec, ds)
         reset_factorization_count()
-        step(kernel, state, ds, spec, RngStream(5))
+        run_chain(kernel, spec, ds, RunConfig(n_iter=1, burn_in=0, store_beta=True),
+                  rng=RngStream(5), initial_state=initial_chain_state(ds))
         assert factorization_count() == 1
-    print("[criterion 9] exactly one factorization per Gibbs step")
+    print("[criterion 9] exactly one factorization per Gibbs iteration")
 
     # end-to-end seed determinism of the bench pipeline: byte-identical raw
     # CSV apart from the two wall-clock measurement columns

@@ -414,8 +414,8 @@ def test_run_exit_code_property(model, kernel, scenario, ns, dim, hyper, bad,
     # any combination of run arguments ends in 0, 2 or 3, never a traceback;
     # at most one hyperparameter is made invalid, so that most runs get as
     # far as the sampler; scenario s1 reads dim as K (p = 5K) and the others
-    # as p, so p > n occurs; run takes one --n value, and a --groups list
-    # (ignored with --scenario) must still parse as integers
+    # as p, so p > n occurs; run takes one --n value, and --groups belongs to
+    # --data, so with --scenario it exits 2
     if bad is not None:
         hyper[bad] = bad_value
     iters, burnin, thin = chain
@@ -431,7 +431,7 @@ def test_run_exit_code_property(model, kernel, scenario, ns, dim, hyper, bad,
         code = main(argv)
     assert code in (0, 2, 3), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
-    if len(ns) > 1 or groups in ("x", "1,,x", "1.5"):
+    if len(ns) > 1 or groups is not None:
         assert code == 2
     if code == 0:
         assert json.loads(out.getvalue())["iters"] == iters
@@ -443,6 +443,36 @@ def test_run_bad_flag_exits_2():
 
 RUN_S1 = ["run", "--model", "group-lasso", "--kernel", "2bg", "--scenario", "s1",
           "--n", "20", "--K", "1", "--lambda", "1", "--iters", "150", "--burnin", "20"]
+
+
+@pytest.mark.parametrize("source,flags,named", [
+    ("scenario", ["--groups", "5"], "--groups"),
+    ("scenario", ["--y-col", "0"], "--y-col"),
+    ("scenario", ["--groups", "5", "--y-col", "1"], "--groups and --y-col"),
+    ("data", ["--n", "3"], "--n"),
+    ("data", ["--K", "1"], "--K"),
+    ("data", ["--p", "2"], "--p"),
+])
+def test_run_rejects_flags_of_the_other_data_source(tmp_path, capsys, source, flags,
+                                                    named):
+    # these flags used to be ignored, and the run exited 0
+    if source == "scenario":
+        argv = RUN_S1 + flags
+    else:
+        path = write_lines(tmp_path / "d.csv", ["1,2,3", "4,5,6", "7,8,8"])
+        argv = RUN_DATA + ["--groups", "2", "--data", path] + flags
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {named} cannot be used with --{source}\n"
+
+
+def test_run_y_col_zero_with_data_is_the_default(tmp_path, capsys):
+    path = write_lines(tmp_path / "d.csv", ["1,2,3", "4,5,6", "7,8,8", "2,1,0"] * 30)
+    argv = RUN_DATA + ["--groups", "2", "--data", path]
+    assert main(argv) == 0
+    default = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--y-col", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["sigma2_mean"] == default["sigma2_mean"]
 
 
 def test_run_takes_one_cell(capsys):

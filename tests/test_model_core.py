@@ -1,16 +1,13 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from blockgibbs import (
-    ChainState,
     Dataset,
     DimensionMismatchError,
     GroupStructure,
     KernelKind,
-    LatentScales,
     ModelKind,
     ModelSpec,
     RunConfig,
@@ -20,7 +17,7 @@ from blockgibbs import (
 )
 from blockgibbs._linalg import cholesky_spd
 from blockgibbs.model_core import add_prior_precision
-from block_stubs import BasisGenerator, block_draw
+from block_stubs import BasisGenerator, block_draw, frozen_scale_draws
 
 
 def groups_of(*sizes):
@@ -53,6 +50,19 @@ def test_group_structure_rejects_empty_groups():
         groups_of(2, 0)
 
 
+@pytest.mark.parametrize("sizes", [[2.5, 1.5], [2, 1.5], [math.nan, 1], [math.inf],
+                                   [1e20], [], [[1, 2]]])
+def test_group_structure_rejects_non_integral_sizes(sizes):
+    # [2.5, 1.5] used to be truncated to [2, 1]
+    with pytest.raises(ValueError, match="positive integers"):
+        GroupStructure(sizes)
+
+
+def test_group_structure_accepts_integral_floats():
+    assert GroupStructure([2.0, 1.0]).group_sizes.tolist() == [2, 1]
+    assert GroupStructure([2.0, 1.0]).group_sizes.dtype == np.int64
+
+
 def test_model_spec_requires_penalties():
     with pytest.raises(ValueError, match="lam must be > 0"):
         ModelSpec(ModelKind.GROUP_LASSO, groups=groups_of(1))
@@ -83,13 +93,6 @@ def test_fused_needs_two_coefficients():
         spec.validate_for(ds)
 
 
-def test_latent_scales_must_be_positive():
-    with pytest.raises(ValueError, match="tau2"):
-        LatentScales(tau2=np.array([1.0, 0.0]))
-    with pytest.raises(ValueError, match="omega2"):
-        LatentScales(tau2=np.array([1.0]), omega2=np.array([-2.0]))
-
-
 # ---------------------------------------------------------------------------
 # prior precision from the latent scales (the chain's own construction)
 # ---------------------------------------------------------------------------
@@ -111,14 +114,6 @@ def fused_prior(tau2, omega2):
                                             1.0 / np.asarray(omega2)))
 
 
-def frozen_chain(spec, ds, scales):
-    # the (sigma2, beta) block drawn with the latent scales held at `scales`
-    state = ChainState(beta=np.zeros(ds.p), sigma2=1.0, scales=scales)
-    return run_chain(KernelKind.TWO_BLOCK, spec, ds,
-                     RunConfig(n_iter=5, burn_in=0, seed=0, store_beta=True),
-                     initial_state=state, freeze_scales=True)
-
-
 def test_group_cov_repeats_by_group():
     d = 1.0 / group_prior([4.0, 9.0], 2, 1)
     assert d.tolist() == [4.0, 4.0, 9.0]
@@ -134,33 +129,17 @@ def test_group_cov_two_groups_of_five():
     assert d[5:].tolist() == [2.0] * 5
 
 
-def test_group_cov_dimension_mismatch():
-    spec = ModelSpec.group_lasso(1.0, groups_of(2, 1))
-    ds = Dataset(y=np.ones(4), x=np.eye(4, 3))
-    with pytest.raises(DimensionMismatchError, match="expected length 2, got 3"):
-        frozen_chain(spec, ds, LatentScales(tau2=np.ones(3)))
-
-
 def test_degenerate_scale_pins_its_coefficients_at_zero():
     # 1 / 1e-310 overflows to an infinite prior precision, whose exact limit
     # holds the group's coefficients at zero
     spec = ModelSpec.group_lasso(1.0, groups_of(1, 1))
     ds = Dataset(y=np.arange(1.0, 5.0), x=np.eye(4, 2) + 0.5)
     with np.errstate(over="ignore"):
-        out = frozen_chain(spec, ds, LatentScales(tau2=np.array([1e-310, 1.0])))
-    assert np.all(out.beta_draws[:, 0] == 0.0)
-    assert np.all(out.beta_draws[:, 1] != 0.0) and np.all(out.sigma2_draws > 0.0)
-
-
-def test_frozen_degenerate_scale_raises_no_warning():
-    # the reciprocals of frozen scales are taken inside the chain's quiet
-    # floating-point state, so 1 / 1e-310 warns no caller
-    spec = ModelSpec.group_lasso(1.0, groups_of(1, 1))
-    ds = Dataset(y=np.arange(1.0, 5.0), x=np.eye(4, 2) + 0.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = frozen_chain(spec, ds, LatentScales(tau2=np.array([1e-310, 1.0])))
-    assert np.all(out.beta_draws[:, 0] == 0.0)
+        inv_tau2 = 1.0 / np.array([1e-310, 1.0])
+    sigma2_draws, beta_draws = frozen_scale_draws(spec, ds, KernelKind.TWO_BLOCK,
+                                                  (inv_tau2,), n_iter=5, seed=0)
+    assert np.all(beta_draws[:, 0] == 0.0)
+    assert np.all(beta_draws[:, 1] != 0.0) and np.all(sigma2_draws > 0.0)
 
 
 def test_sparse_group_cov_harmonic_entries():
@@ -171,13 +150,6 @@ def test_sparse_group_cov_harmonic_entries():
 def test_sparse_group_cov_mixed_groups():
     v = 1.0 / sparse_prior([1.0, 4.0], [1.0, 2.0, 4.0], 2, 1)
     np.testing.assert_allclose(v, [0.5, 2.0 / 3.0, 2.0], rtol=1e-15)
-
-
-def test_sparse_group_cov_needs_gamma():
-    spec = ModelSpec.sparse_group_lasso(1.0, 1.0, groups_of(1))
-    ds = Dataset(y=np.ones(3), x=np.ones((3, 1)))
-    with pytest.raises(ValueError, match="gamma2"):
-        frozen_chain(spec, ds, LatentScales(tau2=np.ones(1)))
 
 
 def test_fused_precision_small_cases():
@@ -198,8 +170,8 @@ def test_fused_precision_general_entries():
 def test_fused_precision_needs_p_at_least_two():
     ds = Dataset(y=np.ones(3), x=np.ones((3, 1)))
     with pytest.raises(ValueError, match="p >= 2"):
-        frozen_chain(ModelSpec.fused_lasso(1.0, 1.0), ds,
-                     LatentScales(tau2=np.ones(1), omega2=np.ones(1)))
+        run_chain(KernelKind.TWO_BLOCK, ModelSpec.fused_lasso(1.0, 1.0), ds,
+                  RunConfig(n_iter=5, burn_in=0))
 
 
 def test_fused_precision_row_sums_cancel():

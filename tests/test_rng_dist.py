@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blockgibbs import (
+    DimensionMismatchError,
     RngStream,
     sample_gamma,
     sample_inverse_gamma,
@@ -212,3 +213,16 @@ def test_mvn_precision_rejects_non_pd():
     from blockgibbs import FactorizationError
     with pytest.raises(FactorizationError, match="precision"):
         sample_mvn_precision(np.zeros(2), -np.eye(2), 1.0, RngStream(0))
+
+
+@pytest.mark.parametrize("b,precision,match", [
+    (np.ones(3), np.eye(2), "b length vs precision order: expected length 2, got 3"),
+    (np.ones(1), np.eye(2), "b length vs precision order: expected length 2, got 1"),
+    (np.ones(2), np.ones((2, 3)), "precision columns vs rows: expected length 2, got 3"),
+    (np.ones(2), np.ones(2), "precision dimensions: expected length 2, got 1"),
+])
+def test_mvn_precision_rejects_mismatched_shapes(b, precision, match):
+    # a longer b used to give a draw of its own length, a shorter one a bare
+    # BLAS error
+    with pytest.raises(DimensionMismatchError, match=match):
+        sample_mvn_precision(b, precision, 1.0, RngStream(0))

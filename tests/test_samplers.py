@@ -11,7 +11,6 @@ from blockgibbs import (
     FactorizationError,
     GroupStructure,
     KernelKind,
-    LatentScales,
     ModelSpec,
     RngStream,
     RunConfig,
@@ -23,11 +22,10 @@ from blockgibbs import (
     run_chain,
     sample_inverse_gaussian_vector,
     samplers,
-    step,
 )
 from blockgibbs._linalg import cholesky_spd, solve_lower
 from blockgibbs.diagnostics import autocorr
-from block_stubs import BasisGenerator
+from block_stubs import BasisGenerator, frozen_scale_draws
 
 TWO, THREE = KernelKind.TWO_BLOCK, KernelKind.THREE_BLOCK
 
@@ -45,6 +43,19 @@ def full_conditional_scale(ds, beta, prior_precision, xi=0.0):
     """Dense three-block sigma2 scale 0.5 (||y - X beta||^2 + beta' Q beta) + xi."""
     resid = ds.y - ds.x @ beta
     return 0.5 * (resid @ resid + beta @ prior_precision @ beta) + xi
+
+
+def one_iteration(kernel, state, ds, spec, rng):
+    """The state one `run_chain` iteration from `state` hands on."""
+    out = run_chain(kernel, spec, ds, RunConfig(n_iter=1, burn_in=0, store_beta=True),
+                    rng=rng, initial_state=state)
+    return ChainState(beta=out.beta_draws[0], sigma2=out.sigma2_draws[0])
+
+
+def latent_draw(spec, beta, sigma2, rng):
+    """The chain's reciprocal latent-scale draws from (beta, sigma2)."""
+    with np.errstate(**samplers._QUIET):
+        return samplers._latent_sampler(spec)(beta, sigma2, rng.generator)
 
 
 def mirror_group_latents(spec, beta, sigma2, rng):
@@ -103,10 +114,9 @@ def test_positivity_of_stored_draws():
 
 def test_initial_state():
     ds, spec = small_group_problem()
-    state = initial_chain_state(spec, ds)
+    state = initial_chain_state(ds)
     np.testing.assert_array_equal(state.beta, np.zeros(3))
     assert state.sigma2 == pytest.approx(np.var(ds.y, ddof=1))
-    np.testing.assert_array_equal(state.scales.tau2, np.ones(2))
 
 
 def test_wall_time_positive_and_loop_only():
@@ -116,23 +126,15 @@ def test_wall_time_positive_and_loop_only():
     assert out.wall_time_seconds > 0.0
 
 
-def test_step_rejects_wrong_model_kind():
-    # a fused-model state has one tau2 per coefficient, not one per group
-    ds, spec = small_group_problem()
-    state = initial_chain_state(ModelSpec.fused_lasso(1.0, 1.0), ds)
-    with pytest.raises(DimensionMismatchError, match="tau2 length"):
-        step(TWO, state, ds, spec, RngStream(0))
-
-
 def test_step_accepts_kernel_names():
     ds, spec = small_group_problem()
-    state = initial_chain_state(spec, ds)
-    a = step("3bg", state, ds, spec, RngStream(8))
-    b = step(THREE, state, ds, spec, RngStream(8))
+    state = initial_chain_state(ds)
+    a = one_iteration("3bg", state, ds, spec, RngStream(8))
+    b = one_iteration(THREE, state, ds, spec, RngStream(8))
     np.testing.assert_array_equal(a.beta, b.beta)
     assert a.sigma2 == b.sigma2
     with pytest.raises(ValueError):
-        step("4bg", state, ds, spec, RngStream(8))
+        one_iteration("4bg", state, ds, spec, RngStream(8))
 
 
 def initial_state_problem():
@@ -146,35 +148,10 @@ def initial_state_problem():
 def test_run_chain_rejects_initial_beta_of_wrong_length(length):
     ds, groups = initial_state_problem()
     spec = ModelSpec.group_lasso(1.0, groups)
-    state = ChainState(beta=np.zeros(length), sigma2=1.0,
-                       scales=LatentScales(tau2=np.ones(2)))
+    state = ChainState(beta=np.zeros(length), sigma2=1.0)
     with pytest.raises(DimensionMismatchError,
                        match=f"beta length.*expected length 3, got {length}"):
         run_chain(TWO, spec, ds, RunConfig(n_iter=5, burn_in=0), initial_state=state)
-
-
-def test_run_chain_rejects_initial_scales_of_wrong_length():
-    ds, groups = initial_state_problem()
-    spec = ModelSpec.group_lasso(1.0, groups)
-    state = ChainState(beta=np.zeros(3), sigma2=1.0,
-                       scales=LatentScales(tau2=np.ones(4)))
-    for freeze in (True, False):
-        with pytest.raises(DimensionMismatchError, match="tau2 length"):
-            run_chain(TWO, spec, ds, RunConfig(n_iter=5, burn_in=0),
-                      initial_state=state, freeze_scales=freeze)
-
-
-@pytest.mark.parametrize("spec,scales,missing", [
-    (ModelSpec.sparse_group_lasso(1.0, 1.0, GroupStructure(np.array([2, 1]))),
-     LatentScales(tau2=np.ones(2)), "gamma2"),
-    (ModelSpec.fused_lasso(1.0, 1.0), LatentScales(tau2=np.ones(3)), "omega2"),
-])
-def test_run_chain_rejects_missing_initial_scales(spec, scales, missing):
-    ds, _ = initial_state_problem()
-    state = ChainState(beta=np.zeros(3), sigma2=1.0, scales=scales)
-    with pytest.raises(ValueError, match=missing):
-        run_chain(TWO, spec, ds, RunConfig(n_iter=5, burn_in=0),
-                  initial_state=state, freeze_scales=True)
 
 
 def test_sampler_error_carries_iteration_index():
@@ -193,55 +170,64 @@ def test_run_config_validation():
         RunConfig(n_iter=10, burn_in=0, thin=0)
 
 
+@pytest.mark.parametrize("field,value", [("n_iter", 10.5), ("n_iter", 10.0),
+                                         ("burn_in", 1.5), ("thin", 1.5),
+                                         ("seed", 2.5), ("n_iter", "10")])
+def test_run_config_rejects_non_integral_counts(field, value):
+    # a float count used to build and then fail inside the loop's range()
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        RunConfig(**{"n_iter": 10, "burn_in": 0, field: value})
+
+
+def test_run_config_accepts_numpy_integers():
+    config = RunConfig(n_iter=np.int64(10), burn_in=np.int32(2), thin=np.int64(2))
+    ds, spec = small_group_problem()
+    assert run_chain(TWO, spec, ds, config).sigma2_draws.shape == (4,)
+
+
 # ---------------------------------------------------------------------------
-# exact per-step conditionals (mirrored random streams)
+# exact per-iteration conditionals (mirrored random streams)
 # ---------------------------------------------------------------------------
 
 def test_group_latent_mean_parameter_unity():
     # ||beta_k||^2 = lam^2 sigma2 makes the inverse-Gaussian mean exactly 1
-    ds, spec = small_group_problem()
+    _, spec = small_group_problem()
     sigma2 = 4.0
     beta = np.array([2.0, 0.0, 2.0])  # both group norms are 4 = lam^2 sigma2
-    state = ChainState(beta=beta, sigma2=sigma2,
-                       scales=LatentScales(tau2=np.ones(2)))
     mirror = RngStream(31)
     expected_inv = sample_inverse_gaussian_vector(np.ones(2), 1.0, mirror)
-    new = step(TWO, state, ds, spec, RngStream(31))
-    np.testing.assert_array_equal(new.scales.tau2, 1.0 / expected_inv)
+    inv_tau2, = latent_draw(spec, beta, sigma2, RngStream(31))
+    np.testing.assert_array_equal(inv_tau2, expected_inv)
 
 
 def test_zero_beta_initialization_uses_limit_branch():
     # beta0 = 0 forces every latent draw through the large-mean limit
     ds, spec = small_group_problem()
     lam_sq = spec.lam * spec.lam
-    state = initial_chain_state(spec, ds)
+    state = initial_chain_state(ds)
     mirror = RngStream(13)
     z = mirror.generator.standard_normal(2)
-    new = step(TWO, state, ds, spec, RngStream(13))
-    np.testing.assert_array_equal(new.scales.tau2, 1.0 / (lam_sq / (z * z)))
+    inv_tau2, = latent_draw(spec, state.beta, state.sigma2, RngStream(13))
+    np.testing.assert_array_equal(inv_tau2, lam_sq / (z * z))
 
 
 def test_fused_constant_beta_uses_limit_branch_for_differences():
-    ds = Dataset(y=np.arange(1.0, 7.0), x=np.vstack([np.eye(3)] * 2))
     spec = ModelSpec.fused_lasso(1.0, 2.0)
     beta = np.full(3, 1.5)
-    state = ChainState(beta=beta, sigma2=1.0,
-                       scales=LatentScales(tau2=np.ones(3), omega2=np.ones(2)))
     mirror = RngStream(5)
     mirror.generator.standard_normal(3)  # tau draws consume first
     mirror.generator.random(3)
     z = mirror.generator.standard_normal(2)
-    new = step(TWO, state, ds, spec, RngStream(5))
+    _, inv_omega2 = latent_draw(spec, beta, 1.0, RngStream(5))
     lam2_sq = spec.lam2 * spec.lam2
-    np.testing.assert_array_equal(new.scales.omega2, 1.0 / (lam2_sq / (z * z)))
+    np.testing.assert_array_equal(inv_omega2, lam2_sq / (z * z))
 
 
 def test_2bg_sigma2_matches_marginal_conditional():
     # mirror the stream: the sigma2 draw must equal scale / gamma with the
     # scale computed from the marginalized conditional (dense arithmetic)
     ds, spec = small_group_problem()
-    state = ChainState(beta=np.array([0.3, -0.2, 0.9]), sigma2=1.7,
-                       scales=LatentScales(tau2=np.ones(2)))
+    state = ChainState(beta=np.array([0.3, -0.2, 0.9]), sigma2=1.7)
     mirror = RngStream(41)
     inv_tau2 = mirror_group_latents(spec, state.beta, state.sigma2, mirror)
     prior_inv = np.repeat(inv_tau2, spec.groups.group_sizes)
@@ -249,20 +235,19 @@ def test_2bg_sigma2_matches_marginal_conditional():
     xty = ds.x.T @ ds.y
     scale = 0.5 * (ds.y @ ds.y - xty @ np.linalg.inv(a) @ xty)
     g = mirror.generator.gamma(0.5 * ds.n)
-    new = step(TWO, state, ds, spec, RngStream(41))
+    new = one_iteration(TWO, state, ds, spec, RngStream(41))
     assert new.sigma2 == pytest.approx(scale / g, rel=1e-10)
 
 
 def test_3bg_sigma2_matches_full_conditional():
     ds, spec = small_group_problem()
-    state = ChainState(beta=np.array([0.3, -0.2, 0.9]), sigma2=1.7,
-                       scales=LatentScales(tau2=np.ones(2)))
+    state = ChainState(beta=np.array([0.3, -0.2, 0.9]), sigma2=1.7)
     mirror = RngStream(43)
     inv_tau2 = mirror_group_latents(spec, state.beta, state.sigma2, mirror)
     prior_inv = np.repeat(inv_tau2, spec.groups.group_sizes)
     scale = full_conditional_scale(ds, state.beta, np.diag(prior_inv))
     g = mirror.generator.gamma(0.5 * (ds.n + ds.p))
-    new = step(THREE, state, ds, spec, RngStream(43))
+    new = one_iteration(THREE, state, ds, spec, RngStream(43))
     assert new.sigma2 == pytest.approx(scale / g, rel=1e-12)
 
 
@@ -271,8 +256,7 @@ def test_3bg_sigma2_matches_full_conditional_fused():
     # form; compared here against beta' Q beta with Q built densely
     ds = Dataset(y=np.arange(1.0, 7.0), x=np.vstack([np.eye(3)] * 2))
     spec = ModelSpec.fused_lasso(1.0, 2.0, xi=0.3)
-    state = ChainState(beta=np.array([0.4, -1.1, 0.7]), sigma2=1.3,
-                       scales=LatentScales(tau2=np.ones(3), omega2=np.ones(2)))
+    state = ChainState(beta=np.array([0.4, -1.1, 0.7]), sigma2=1.3)
     mirror = RngStream(44)
     sigma2, beta = state.sigma2, state.beta
     inv_tau2 = sample_inverse_gaussian_vector(
@@ -285,15 +269,14 @@ def test_3bg_sigma2_matches_full_conditional_fused():
         q[j:j + 2, j:j + 2] += w * np.array([[1.0, -1.0], [-1.0, 1.0]])
     scale = full_conditional_scale(ds, beta, q, spec.xi)
     g = mirror.generator.gamma(0.5 * (ds.n + ds.p))
-    new = step(THREE, state, ds, spec, RngStream(44))
+    new = one_iteration(THREE, state, ds, spec, RngStream(44))
     assert new.sigma2 == pytest.approx(scale / g, rel=1e-12)
 
 
 def test_3bg_beta_draw_follows_sigma2():
     # after the sigma2 draw, beta = A^-1 X'Y + sqrt(sigma2) L^-T z
     ds, spec = small_group_problem()
-    state = ChainState(beta=np.array([0.3, -0.2, 0.9]), sigma2=1.7,
-                       scales=LatentScales(tau2=np.ones(2)))
+    state = ChainState(beta=np.array([0.3, -0.2, 0.9]), sigma2=1.7)
     mirror = RngStream(47)
     inv_tau2 = mirror_group_latents(spec, state.beta, state.sigma2, mirror)
     prior_inv = np.repeat(inv_tau2, spec.groups.group_sizes)
@@ -304,7 +287,7 @@ def test_3bg_beta_draw_follows_sigma2():
     chol = np.linalg.cholesky(a)
     mean = np.linalg.solve(a, ds.x.T @ ds.y)
     expected = mean + math.sqrt(sigma2) * np.linalg.solve(chol.T, z)
-    new = step(THREE, state, ds, spec, RngStream(47))
+    new = one_iteration(THREE, state, ds, spec, RngStream(47))
     np.testing.assert_allclose(new.beta, expected, rtol=1e-8)
 
 
@@ -313,28 +296,23 @@ def test_zero_design_marginal_matches_closed_form():
     y = np.array([1.0, -2.0, 0.5, 3.0, -1.0, 2.0, 0.7, -0.3])
     ds = Dataset(y=y, x=np.zeros((8, 2)))
     spec = ModelSpec.group_lasso(1.0, GroupStructure(np.array([2])))
-    out = run_chain(KernelKind.TWO_BLOCK, spec, ds,
-                    RunConfig(n_iter=20_000, burn_in=0, seed=12, store_beta=True),
-                    freeze_scales=True,
-                    initial_state=initial_chain_state(spec, ds))
+    sigma2_draws, beta_draws = frozen_scale_draws(spec, ds, TWO, (np.ones(1),),
+                                                  n_iter=20_000, seed=12)
     shape, scale = 4.0, y @ y / 2.0
     target_mean = scale / (shape - 1.0)
     target_sd = math.sqrt(scale ** 2 / ((shape - 1) ** 2 * (shape - 2)))
-    n = out.sigma2_draws.shape[0]
-    assert abs(out.sigma2_draws.mean() - target_mean) < 4 * target_sd / math.sqrt(n)
+    n = sigma2_draws.shape[0]
+    assert abs(sigma2_draws.mean() - target_mean) < 4 * target_sd / math.sqrt(n)
     # beta is centered at zero when X = 0
-    se_beta = out.beta_draws.std(axis=0, ddof=1) / math.sqrt(n)
-    assert np.all(np.abs(out.beta_draws.mean(axis=0)) < 4 * se_beta)
+    se_beta = beta_draws.std(axis=0, ddof=1) / math.sqrt(n)
+    assert np.all(np.abs(beta_draws.mean(axis=0)) < 4 * se_beta)
 
 
 def test_frozen_scales_draws_are_uncorrelated():
     ds, spec = small_group_problem()
-    state = ChainState(beta=np.zeros(3), sigma2=1.0,
-                       scales=LatentScales(tau2=np.array([0.7, 1.3])))
-    out = run_chain(KernelKind.TWO_BLOCK, spec, ds,
-                    RunConfig(n_iter=20_000, burn_in=0, seed=6),
-                    freeze_scales=True, initial_state=state)
-    assert abs(autocorr(out.sigma2_draws, 1)) < 4 / math.sqrt(20_000)
+    sigma2_draws, _ = frozen_scale_draws(spec, ds, TWO, (1.0 / np.array([0.7, 1.3]),),
+                                         n_iter=20_000, seed=6)
+    assert abs(autocorr(sigma2_draws, 1)) < 4 / math.sqrt(20_000)
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +323,8 @@ def test_frozen_scales_draws_are_uncorrelated():
                          ids=["step_2bg_group", "step_3bg_group"])
 def test_group_steps_factor_exactly_once(kernel):
     ds, spec = small_group_problem()
-    state = initial_chain_state(spec, ds)
     reset_factorization_count()
-    step(kernel, state, ds, spec, RngStream(1))
+    one_iteration(kernel, initial_chain_state(ds), ds, spec, RngStream(1))
     assert factorization_count() == 1
 
 
@@ -363,9 +340,8 @@ def test_other_steps_factor_exactly_once(kernel, maker):
         spec = ModelSpec.sparse_group_lasso(1.0, 1.0, GroupStructure(np.array([2, 1])))
     else:
         spec = ModelSpec.fused_lasso(1.0, 1.0)
-    state = initial_chain_state(spec, ds)
     reset_factorization_count()
-    step(kernel, state, ds, spec, RngStream(1))
+    one_iteration(kernel, initial_chain_state(ds), ds, spec, RngStream(1))
     assert factorization_count() == 1
 
 
@@ -549,7 +525,7 @@ def test_step_wrappers_take_the_nspace_update(monkeypatch, kernel):
     real = samplers.cholesky_spd
     monkeypatch.setattr(samplers, "cholesky_spd",
                         lambda a, *args, **kw: orders.append(a.shape) or real(a, *args, **kw))
-    new = step(kernel, initial_chain_state(spec, ds), ds, spec, RngStream(9))
+    new = one_iteration(kernel, initial_chain_state(ds), ds, spec, RngStream(9))
     assert orders == [(ds.n, ds.n)]
     assert new.beta.shape == (ds.p,) and new.sigma2 > 0.0
 
