@@ -50,7 +50,6 @@ from .simgen import (
     Scenario,
     ScenarioSpec,
     SimulatedDataset,
-    gen_extra_tall,
     gen_extra_wide,
     gen_scenario1,
     gen_scenario2,

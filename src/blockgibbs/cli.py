@@ -151,14 +151,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="first penalty (sparse group / fused)")
         p.add_argument("--lambda2", dest="lam2", type=float,
                        help="second penalty (sparse group / fused)")
-        p.add_argument("--iters", type=int, default=None,
-                       help="chain length (default 10000)")
-        p.add_argument("--burnin", type=int, default=None,
-                       help="discarded initial iterations (default 1000)")
-        p.add_argument("--thin", type=int, default=1)
+        p.add_argument("--iters", type=int, default=RunConfig.n_iter,
+                       help="chain length (default %(default)s)")
+        p.add_argument("--burnin", type=int, default=RunConfig.burn_in,
+                       help="discarded initial iterations (default %(default)s)")
+        p.add_argument("--thin", type=int, default=RunConfig.thin,
+                       help="keep every THIN-th draw (default %(default)s)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--long-run", action="store_true",
-                       help="use 100000 iterations with 10000 burn-in")
         p.add_argument("--n", type=_csv_list(int),
                        help="comma-separated row counts (one for run)")
         p.add_argument("--K", type=_csv_list(int),
@@ -198,18 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_run_config(args, store_beta: bool = False) -> RunConfig:
     """The chain settings of `run` or `bench`, checked before any chain runs."""
-    if args.long_run:
-        iters = 100_000 if args.iters is None else args.iters
-        burnin = 10_000 if args.burnin is None else args.burnin
-    else:
-        iters = 10_000 if args.iters is None else args.iters
-        burnin = 1_000 if args.burnin is None else args.burnin
-    config = RunConfig(n_iter=iters, burn_in=burnin, seed=args.seed,
+    config = RunConfig(n_iter=args.iters, burn_in=args.burnin, seed=args.seed,
                        store_beta=store_beta, thin=args.thin)
-    kept = (iters - burnin) // args.thin
+    kept = (args.iters - args.burnin) // args.thin
     if kept < MIN_ESS_DRAWS:
         raise UsageError(
-            f"--iters {iters} with --burnin {burnin} and --thin {args.thin} "
+            f"--iters {args.iters} with --burnin {args.burnin} and --thin {args.thin} "
             f"keeps {kept} draws; the diagnostics need at least {MIN_ESS_DRAWS}")
     return config
 

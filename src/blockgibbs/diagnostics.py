@@ -117,27 +117,21 @@ def summarize(series) -> Summary:
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
-    """Mixing metrics of the residual-variance chain plus posterior summaries."""
+    """Mixing metrics and posterior summary of the residual-variance chain."""
 
     rho1: float
     ess: float
     ess_per_second: float
     sigma2: Summary
-    beta: tuple[Summary, ...] | None = None
 
 
 def diagnose(output: ChainOutput) -> DiagnosticsReport:
-    """Diagnostics of a finished chain (coefficient summaries only if stored)."""
+    """Diagnostics of a finished chain's sigma2 draws."""
     draws = output.sigma2_draws
     ess = ess_univariate(draws)
-    beta_summaries = None
-    if output.beta_draws is not None:
-        beta_summaries = tuple(summarize(output.beta_draws[:, j])
-                               for j in range(output.beta_draws.shape[1]))
     return DiagnosticsReport(
         rho1=autocorr(draws, 1),
         ess=ess,
         ess_per_second=ess_per_second(ess, output.wall_time_seconds),
         sigma2=summarize(draws),
-        beta=beta_summaries,
     )

@@ -117,6 +117,12 @@ def sample_inverse_gaussian_vector(mu: np.ndarray, lam: float,
     mu = np.asarray(mu, dtype=np.float64)
     if np.any(np.isnan(mu)) or np.any(mu <= 0.0):
         raise ValueError("inverse-Gaussian mean parameters must be positive (inf allowed)")
-    normals = rng.generator.standard_normal(mu.shape[0])
-    uniforms = rng.generator.random(mu.shape[0])
-    return _kernels.ig_transform(mu, float(lam), normals, uniforms)
+    return _inverse_gaussian_draws(mu, float(lam), rng.generator)
+
+
+def _inverse_gaussian_draws(mu: np.ndarray, lam: float,
+                            gen: np.random.Generator) -> np.ndarray:
+    """`sample_inverse_gaussian_vector` without the checks; the samplers'
+    latent-scale update calls it directly."""
+    q = mu.shape[0]
+    return _kernels.ig_transform(mu, lam, gen.standard_normal(q), gen.random(q))

@@ -28,8 +28,10 @@ data shape:
 
 Draw-order contract per iteration (fixed for reproducibility): group scales
 first, then per-coefficient / per-difference scales, then the residual
-variance (one gamma draw), then the coefficient noise. The dense update
-draws p standard normals z for the noise; the n-space update makes one
+variance (one gamma draw), then the coefficient noise. Each scale vector is
+the inverse-Gaussian vector draw of `sample_inverse_gaussian_vector` (a
+normal vector, then a uniform vector). The dense update draws p standard
+normals z for the noise; the n-space update makes one
 standard_normal(p + n) call whose first p values are xi and last n are
 delta, and sets u = sigma sqrt(D) xi, v = X u + sigma delta and
 beta = u + D X^T (I + X D X^T)^-1 (y - v).
@@ -56,7 +58,7 @@ from .model_core import (
     add_prior_precision,
     SymmetricTridiagonal,
 )
-from .rng_dist import RngStream, _require_positive
+from .rng_dist import RngStream, _inverse_gaussian_draws, _require_positive
 
 __all__ = [
     "KernelKind",
@@ -137,9 +139,7 @@ def _ig_draws(lam_sq: float, sigma2: float, sq: np.ndarray,
     so callers run this under np.errstate) and take the exact large-mean
     limit inside the transform (the zero-coefficient branch).
     """
-    mu = np.sqrt(lam_sq * sigma2 / sq)
-    q = mu.shape[0]
-    return _kernels.ig_transform(mu, lam_sq, gen.standard_normal(q), gen.random(q))
+    return _inverse_gaussian_draws(np.sqrt(lam_sq * sigma2 / sq), lam_sq, gen)
 
 
 def _latent_sampler(spec: ModelSpec):

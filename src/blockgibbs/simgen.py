@@ -1,9 +1,10 @@
 """Synthetic dataset generators for the benchmark scenarios.
 
-Draw order within each generator is fixed (design matrix, then true
-coefficients, then noise) so a seed pins the whole dataset. The grouped
-polynomial design is used raw; only the correlated-row design standardizes
-its columns.
+`ScenarioSpec` checks the scenario rules and generates the data; the
+`gen_*` functions are shorthands for it. Draw order within each scenario is
+fixed (design matrix, then true coefficients, then noise) so a seed pins the
+whole dataset. The grouped polynomial design is used raw; only the
+correlated-row design standardizes its columns.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ __all__ = [
     "gen_scenario1",
     "gen_scenario2",
     "gen_extra_wide",
-    "gen_extra_tall",
     "standardize_columns",
 ]
 
@@ -70,21 +70,21 @@ class ScenarioSpec:
         """The group structure of the generated data: groups of five, none for s2."""
         if self.scenario is Scenario.ADJACENT_SIMILAR:
             return None
-        return _groups_of_five(self.p // 5)
+        return GroupStructure(np.full(self.p // 5, 5, dtype=np.int64))
 
     def generate(self, rng: RngStream | None = None) -> SimulatedDataset:
         rng = RngStream(self.seed) if rng is None else rng
-        if self.scenario is Scenario.GROUPED_POLY:
-            return gen_scenario1(self.n, self.p // 5, rng)
         if self.scenario is Scenario.ADJACENT_SIMILAR:
-            return gen_scenario2(self.n, self.p, rng)
-        if self.scenario is Scenario.EXTRA_WIDE:
-            return gen_extra_wide(self.n, self.p, rng)
-        return gen_extra_tall(self.n, self.p, rng)
-
-
-def _groups_of_five(k: int) -> GroupStructure:
-    return GroupStructure(np.full(k, 5, dtype=np.int64))
+            x, beta_star = _adjacent_similar(self.n, self.p, rng)
+        else:
+            # s1 has one t_2 signal per group; wide and tall share one
+            # generator with five nonzero coefficients at any p
+            k = self.p // 5
+            n_nonzero = k if self.scenario is Scenario.GROUPED_POLY else 5
+            x, beta_star = _grouped_poly(self.n, k, n_nonzero, rng)
+        y = x @ beta_star + rng.generator.standard_normal(self.n)
+        return SimulatedDataset(dataset=Dataset(y=y, x=x), beta_star=beta_star,
+                                groups=self.groups)
 
 
 def _poly_design(n: int, k: int, rng: RngStream) -> np.ndarray:
@@ -97,34 +97,38 @@ def _poly_design(n: int, k: int, rng: RngStream) -> np.ndarray:
     return cols.reshape(n, 5 * k)
 
 
-def _grouped_poly(n: int, k: int, n_nonzero: int,
-                  rng: RngStream) -> SimulatedDataset:
+def _grouped_poly(n: int, k: int, n_nonzero: int, rng: RngStream):
+    """Design and true coefficients: the first `n_nonzero` are t_2 draws."""
     x = _poly_design(n, k, rng)
-    p = 5 * k
-    beta_star = np.zeros(p)
+    beta_star = np.zeros(5 * k)
     beta_star[:n_nonzero] = sample_student_t(2.0, rng, size=n_nonzero)
-    y = x @ beta_star + rng.generator.standard_normal(n)
-    return SimulatedDataset(dataset=Dataset(y=y, x=x), beta_star=beta_star,
-                            groups=_groups_of_five(k))
+    return x, beta_star
+
+
+def _adjacent_similar(n: int, p: int, rng: RngStream):
+    """Design and true coefficients of scenario s2."""
+    # one-factor representation of the equicorrelated rows: O(np) memory
+    common = rng.generator.standard_normal((n, 1))
+    own = rng.generator.standard_normal((n, p))
+    x = standardize_columns(np.sqrt(0.2) * common + np.sqrt(0.8) * own)
+    blk = p // 10
+    beta_star = np.zeros(p)
+    beta_star[:blk] = rng.generator.normal(1.0, 0.1, blk)
+    beta_star[2 * blk:3 * blk] = rng.generator.normal(1.0, 0.1, blk)
+    return x, beta_star
 
 
 def gen_scenario1(n: int, k: int, rng: RngStream) -> SimulatedDataset:
     """Grouped polynomial design: p = 5k, first p/5 coefficients are t_2 draws."""
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive")
-    return _grouped_poly(n, k, n_nonzero=k, rng=rng)
+    return ScenarioSpec(Scenario.GROUPED_POLY, n, 5 * k).generate(rng)
 
 
 def gen_extra_wide(n: int, p: int, rng: RngStream) -> SimulatedDataset:
-    """Grouped polynomial design with exactly 5 nonzero coefficients, any p."""
-    if p % 5 != 0 or p < 5:
-        raise ValueError(f"p must be a positive multiple of 5, got {p}")
-    return _grouped_poly(n, p // 5, n_nonzero=5, rng=rng)
+    """Grouped polynomial design with exactly 5 nonzero coefficients.
 
-
-def gen_extra_tall(n: int, p: int, rng: RngStream) -> SimulatedDataset:
-    """Same scheme as the wide generator, intended for small p and large n."""
-    return gen_extra_wide(n, p, rng)
+    The `wide` and `tall` scenarios both use it; p is a positive multiple of 5.
+    """
+    return ScenarioSpec(Scenario.EXTRA_WIDE, n, p).generate(rng)
 
 
 def gen_scenario2(n: int, p: int, rng: RngStream) -> SimulatedDataset:
@@ -133,21 +137,7 @@ def gen_scenario2(n: int, p: int, rng: RngStream) -> SimulatedDataset:
     The first and third blocks of p/10 coefficients are N(1, 0.1^2) draws;
     everything else is zero.
     """
-    if p % 10 != 0:
-        raise ValueError(f"p must be divisible by 10, got {p}")
-    if n < 2:
-        raise ValueError("n must be at least 2 to standardize columns")
-    # one-factor representation of the equicorrelated rows: O(np) memory
-    common = rng.generator.standard_normal((n, 1))
-    own = rng.generator.standard_normal((n, p))
-    x = np.sqrt(0.2) * common + np.sqrt(0.8) * own
-    x = standardize_columns(x)
-    blk = p // 10
-    beta_star = np.zeros(p)
-    beta_star[:blk] = rng.generator.normal(1.0, 0.1, blk)
-    beta_star[2 * blk:3 * blk] = rng.generator.normal(1.0, 0.1, blk)
-    y = x @ beta_star + rng.generator.standard_normal(n)
-    return SimulatedDataset(dataset=Dataset(y=y, x=x), beta_star=beta_star)
+    return ScenarioSpec(Scenario.ADJACENT_SIMILAR, n, p).generate(rng)
 
 
 def standardize_columns(x: np.ndarray) -> np.ndarray:

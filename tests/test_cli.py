@@ -772,17 +772,18 @@ def test_bench_exit_code_property(tmp_path, model, scenario, ns, dims, reps,
         assert code == 2
 
 
-def test_long_run_flag_sets_defaults():
+def test_chain_length_defaults_come_from_run_config(capsys):
+    from blockgibbs import RunConfig
     from blockgibbs.cli import _resolve_run_config, build_parser
     parser = build_parser()
-    args = parser.parse_args(["run", "--model", "group-lasso", "--kernel",
-                              "2bg", "--long-run"])
-    cfg = _resolve_run_config(args)
-    assert (cfg.n_iter, cfg.burn_in) == (100_000, 10_000)
-    args = parser.parse_args(["run", "--model", "group-lasso", "--kernel",
-                              "2bg", "--long-run", "--iters", "50000"])
-    cfg = _resolve_run_config(args)
-    assert (cfg.n_iter, cfg.burn_in) == (50_000, 10_000)
+    for argv in (["run", "--model", "group-lasso", "--kernel", "2bg"],
+                 ["bench", "--model", "group-lasso", "--out-raw", "r.csv",
+                  "--out-agg", "a.csv"]):
+        cfg = _resolve_run_config(parser.parse_args(argv))
+        assert (cfg.n_iter, cfg.burn_in, cfg.thin) == (
+            RunConfig.n_iter, RunConfig.burn_in, RunConfig.thin)
+        assert main(argv + ["--long-run"]) == 2
+    assert "unrecognized arguments: --long-run" in capsys.readouterr().err
 
 
 def test_run_runtime_failure_exits_3(tmp_path, capsys):

@@ -134,4 +134,3 @@ def test_diagnose_builds_full_report():
     assert 0.0 < rep.ess <= out.sigma2_draws.size
     assert rep.ess_per_second > 0.0
     assert rep.sigma2.q025 <= rep.sigma2.median <= rep.sigma2.q975
-    assert len(rep.beta) == 2

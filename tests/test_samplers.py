@@ -11,6 +11,7 @@ from blockgibbs import (
     FactorizationError,
     GroupStructure,
     KernelKind,
+    ModelKind,
     ModelSpec,
     RngStream,
     RunConfig,
@@ -58,14 +59,21 @@ def latent_draw(spec, beta, sigma2, rng):
         return samplers._latent_sampler(spec)(beta, sigma2, rng.generator)
 
 
-def mirror_group_latents(spec, beta, sigma2, rng):
-    """Replicate the sampler's latent draw for a group model, stream-exactly."""
-    g = spec.groups
-    sq = np.add.reduceat(beta * beta, g.offsets)
-    lam_sq = spec.lam * spec.lam
-    with np.errstate(divide="ignore"):
-        mu = np.sqrt(lam_sq * sigma2 / sq)
-    return sample_inverse_gaussian_vector(mu, lam_sq, rng)
+def mirror_latents(spec, beta, sigma2, rng):
+    """The chain's latent draw rebuilt from `sample_inverse_gaussian_vector`
+    calls on `rng`, in the draw-order contract's order."""
+    def draw(lam, sq):
+        with np.errstate(divide="ignore"):
+            mu = np.sqrt(lam * lam * sigma2 / sq)
+        return sample_inverse_gaussian_vector(mu, lam * lam, rng)
+
+    if spec.kind is ModelKind.FUSED_LASSO:
+        diffs = np.diff(beta)
+        return draw(spec.lam1, beta * beta), draw(spec.lam2, diffs * diffs)
+    sq = np.add.reduceat(beta * beta, spec.groups.offsets)
+    if spec.kind is ModelKind.GROUP_LASSO:
+        return (draw(spec.lam, sq),)
+    return draw(spec.lam1, sq), draw(spec.lam2, beta * beta)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +134,7 @@ def test_wall_time_positive_and_loop_only():
     assert out.wall_time_seconds > 0.0
 
 
-def test_step_accepts_kernel_names():
+def test_one_iteration_chain_accepts_kernel_names():
     ds, spec = small_group_problem()
     state = initial_chain_state(ds)
     a = one_iteration("3bg", state, ds, spec, RngStream(8))
@@ -200,6 +208,25 @@ def test_group_latent_mean_parameter_unity():
     np.testing.assert_array_equal(inv_tau2, expected_inv)
 
 
+@pytest.mark.parametrize("model", ["group", "sparse_group", "fused"])
+def test_latent_draw_is_the_rng_dist_inverse_gaussian_draw(model):
+    # a zero group, a zero coefficient and a zero difference take the
+    # large-mean limit; the other entries take the finite-mean transform
+    beta = np.array([0.0, 0.0, 0.7, 0.7, -1.2, 0.4])
+    groups = GroupStructure(np.array([2, 3, 1]))
+    spec = {"group": ModelSpec.group_lasso(1.3, groups),
+            "sparse_group": ModelSpec.sparse_group_lasso(0.8, 1.7, groups),
+            "fused": ModelSpec.fused_lasso(0.9, 1.4)}[model]
+    chain, mirror = RngStream(53), RngStream(53)
+    got = latent_draw(spec, beta, 2.1, chain)
+    expected = mirror_latents(spec, beta, 2.1, mirror)
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        np.testing.assert_array_equal(a, b)
+    # both streams are left at the same position
+    assert chain.generator.random() == mirror.generator.random()
+
+
 def test_zero_beta_initialization_uses_limit_branch():
     # beta0 = 0 forces every latent draw through the large-mean limit
     ds, spec = small_group_problem()
@@ -229,7 +256,7 @@ def test_2bg_sigma2_matches_marginal_conditional():
     ds, spec = small_group_problem()
     state = ChainState(beta=np.array([0.3, -0.2, 0.9]), sigma2=1.7)
     mirror = RngStream(41)
-    inv_tau2 = mirror_group_latents(spec, state.beta, state.sigma2, mirror)
+    inv_tau2, = mirror_latents(spec, state.beta, state.sigma2, mirror)
     prior_inv = np.repeat(inv_tau2, spec.groups.group_sizes)
     a = ds.x.T @ ds.x + np.diag(prior_inv)
     xty = ds.x.T @ ds.y
@@ -243,7 +270,7 @@ def test_3bg_sigma2_matches_full_conditional():
     ds, spec = small_group_problem()
     state = ChainState(beta=np.array([0.3, -0.2, 0.9]), sigma2=1.7)
     mirror = RngStream(43)
-    inv_tau2 = mirror_group_latents(spec, state.beta, state.sigma2, mirror)
+    inv_tau2, = mirror_latents(spec, state.beta, state.sigma2, mirror)
     prior_inv = np.repeat(inv_tau2, spec.groups.group_sizes)
     scale = full_conditional_scale(ds, state.beta, np.diag(prior_inv))
     g = mirror.generator.gamma(0.5 * (ds.n + ds.p))
@@ -258,12 +285,8 @@ def test_3bg_sigma2_matches_full_conditional_fused():
     spec = ModelSpec.fused_lasso(1.0, 2.0, xi=0.3)
     state = ChainState(beta=np.array([0.4, -1.1, 0.7]), sigma2=1.3)
     mirror = RngStream(44)
-    sigma2, beta = state.sigma2, state.beta
-    inv_tau2 = sample_inverse_gaussian_vector(
-        np.sqrt(spec.lam1 ** 2 * sigma2 / (beta * beta)), spec.lam1 ** 2, mirror)
-    diffs = np.diff(beta)
-    inv_omega2 = sample_inverse_gaussian_vector(
-        np.sqrt(spec.lam2 ** 2 * sigma2 / (diffs * diffs)), spec.lam2 ** 2, mirror)
+    beta = state.beta
+    inv_tau2, inv_omega2 = mirror_latents(spec, beta, state.sigma2, mirror)
     q = np.diag(inv_tau2)
     for j, w in enumerate(inv_omega2):
         q[j:j + 2, j:j + 2] += w * np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -278,7 +301,7 @@ def test_3bg_beta_draw_follows_sigma2():
     ds, spec = small_group_problem()
     state = ChainState(beta=np.array([0.3, -0.2, 0.9]), sigma2=1.7)
     mirror = RngStream(47)
-    inv_tau2 = mirror_group_latents(spec, state.beta, state.sigma2, mirror)
+    inv_tau2, = mirror_latents(spec, state.beta, state.sigma2, mirror)
     prior_inv = np.repeat(inv_tau2, spec.groups.group_sizes)
     a = ds.x.T @ ds.x + np.diag(prior_inv)
     g = mirror.generator.gamma(0.5 * (ds.n + ds.p))
@@ -320,7 +343,7 @@ def test_frozen_scales_draws_are_uncorrelated():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("kernel", [TWO, THREE],
-                         ids=["step_2bg_group", "step_3bg_group"])
+                         ids=["one_iteration_2bg_group", "one_iteration_3bg_group"])
 def test_group_steps_factor_exactly_once(kernel):
     ds, spec = small_group_problem()
     reset_factorization_count()
@@ -329,10 +352,10 @@ def test_group_steps_factor_exactly_once(kernel):
 
 
 @pytest.mark.parametrize("kernel,maker", [
-    pytest.param(TWO, "sparse", id="step_2bg_sparse_group-sparse"),
-    pytest.param(THREE, "sparse", id="step_3bg_sparse_group-sparse"),
-    pytest.param(TWO, "fused", id="step_2bg_fused-fused"),
-    pytest.param(THREE, "fused", id="step_3bg_fused-fused"),
+    pytest.param(TWO, "sparse", id="one_iteration_2bg_sparse_group-sparse"),
+    pytest.param(THREE, "sparse", id="one_iteration_3bg_sparse_group-sparse"),
+    pytest.param(TWO, "fused", id="one_iteration_2bg_fused-fused"),
+    pytest.param(THREE, "fused", id="one_iteration_3bg_fused-fused"),
 ])
 def test_other_steps_factor_exactly_once(kernel, maker):
     ds, _ = small_group_problem()
@@ -518,8 +541,8 @@ def test_nspace_factors_order_n_in_one_workspace_array(monkeypatch, kernel):
 
 
 @pytest.mark.parametrize("kernel", [TWO, THREE],
-                         ids=["step_2bg_group", "step_3bg_group"])
-def test_step_wrappers_take_the_nspace_update(monkeypatch, kernel):
+                         ids=["one_iteration_2bg_group", "one_iteration_3bg_group"])
+def test_one_iteration_chain_takes_the_nspace_update(monkeypatch, kernel):
     ds, spec, _, _ = wide_group_problem(4, "group")
     orders = []
     real = samplers.cholesky_spd

@@ -5,7 +5,6 @@ from blockgibbs import (
     RngStream,
     Scenario,
     ScenarioSpec,
-    gen_extra_tall,
     gen_extra_wide,
     gen_scenario1,
     gen_scenario2,
@@ -64,6 +63,14 @@ def test_scenario2_requires_p_multiple_of_ten():
         gen_scenario2(20, 15, RngStream(0))
 
 
+def test_scenario2_requires_two_rows_and_a_column():
+    # the generators check nothing themselves: ScenarioSpec holds the rules
+    with pytest.raises(ValueError, match="n and p must be positive"):
+        gen_scenario2(20, 0, RngStream(0))
+    with pytest.raises(ValueError, match="needs n >= 2"):
+        gen_scenario2(1, 10, RngStream(0))
+
+
 def test_extra_wide_fixed_signal_size():
     sim = gen_extra_wide(50, 500, RngStream(7))
     assert sim.dataset.p == 500
@@ -72,7 +79,7 @@ def test_extra_wide_fixed_signal_size():
 
 
 def test_extra_tall_small_p():
-    sim = gen_extra_tall(500, 25, RngStream(8))
+    sim = ScenarioSpec(Scenario.EXTRA_TALL, 500, 25).generate(RngStream(8))
     assert sim.dataset.n == 500
     assert sim.groups.group_sizes.tolist() == [5] * 5
     assert np.count_nonzero(sim.beta_star) == 5
@@ -80,7 +87,7 @@ def test_extra_tall_small_p():
 
 def test_generators_are_reproducible():
     for gen, args in [(gen_scenario1, (20, 3)), (gen_scenario2, (20, 20)),
-                      (gen_extra_wide, (10, 25)), (gen_extra_tall, (60, 10))]:
+                      (gen_extra_wide, (10, 25)), (gen_extra_wide, (60, 10))]:
         a = gen(*args, RngStream(99))
         b = gen(*args, RngStream(99))
         np.testing.assert_array_equal(a.dataset.x, b.dataset.x)
