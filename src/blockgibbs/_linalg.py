@@ -1,4 +1,4 @@
-"""Counted Cholesky factorization and triangular solves.
+"""Counted Cholesky factorization, triangular solves and one BLAS thread.
 
 Thin wrappers over the LAPACK/BLAS routines with per-call overhead kept low
 (these sit inside the per-iteration sampler loop). The factorization counter
@@ -6,8 +6,30 @@ exists so tests can assert how many Cholesky factorizations a Gibbs step
 performs (the two-block kernels must do exactly one per iteration). The
 counter is plain module state, meant for single-threaded test
 instrumentation.
+
+`one_blas_thread()` runs a block with every loaded OpenBLAS copy set to one
+thread, in the style of `np.errstate`, and restores the caller's counts on
+exit, also when the block raises. Chains run inside it, so their draws do not
+depend on the host's thread count (a threaded `syrk` or `potrf` sums in
+another order) and no iteration waits on a BLAS worker that shares a core
+with the caller. The copies (numpy's and scipy's wheels each bring one) are
+found once per process from `/proc/self/maps` and driven through ctypes;
+where none is found, the block runs under the host's setting and the count
+reads "unknown". Only a copy whose count is not already 1 is set: OpenBLAS
+shuts its thread pool down in a forked child, and any `set_num_threads` call
+there restarts a pool whose idle threads spin, so `map_jobs` forks its
+workers inside the scope and their own scopes make no call.
 """
 from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import itertools
+import os
+import threading
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.blas import get_blas_funcs
@@ -65,3 +87,90 @@ def solve_lower(chol_lower: np.ndarray, b: np.ndarray) -> np.ndarray:
 def solve_lower_t(chol_lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve L^T x = b for lower-triangular L and a vector b."""
     return _trsv(chol_lower, b, lower=1, trans=1)
+
+
+@dataclass(frozen=True)
+class _OpenBlas:
+    """The thread controls of one loaded OpenBLAS copy."""
+
+    name: str
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+    config: str
+
+
+# exported names: system builds use the bare prefix, the numpy and scipy
+# wheels "scipy_openblas_", and 64-bit-integer builds append "64_"
+_PREFIXES = ("scipy_openblas_", "openblas_")
+_SUFFIXES = ("64_", "")
+
+
+def _openblas_control(path: str) -> _OpenBlas | None:
+    try:
+        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+    except OSError:
+        return None
+    for prefix, suffix in itertools.product(_PREFIXES, _SUFFIXES):
+        names = [prefix + stem + suffix
+                 for stem in ("get_num_threads", "set_num_threads", "get_config")]
+        if all(hasattr(lib, name) for name in names):
+            get, set_, config = (getattr(lib, name) for name in names)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            config.argtypes, config.restype = [], ctypes.c_char_p
+            return _OpenBlas(os.path.basename(path), get, set_,
+                             config().decode(errors="replace"))
+    return None
+
+
+@functools.cache
+def _openblas_controls() -> tuple[_OpenBlas, ...]:
+    """Each OpenBLAS copy mapped into this process, found once per process."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return ()
+    return tuple(lib for lib in map(_openblas_control, paths) if lib is not None)
+
+
+def blas_libraries() -> dict[str, str]:
+    """The configuration string (version and build) of each OpenBLAS copy found."""
+    return {lib.name: lib.config for lib in _openblas_controls()}
+
+
+# One scope at a time owns the process-wide counts: the outermost of nested
+# or concurrent scopes (from several Python threads) saves and sets them,
+# and the last to leave restores them.
+_scope_lock = threading.Lock()
+_scope_depth = 0
+_scope_saved: list[tuple[_OpenBlas, int]] = []
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with one thread in each OpenBLAS copy; restore on exit.
+
+    Yields the thread count in effect: 1, or "unknown" when no OpenBLAS
+    control was found.
+    """
+    global _scope_depth, _scope_saved
+    controls = _openblas_controls()
+    with _scope_lock:
+        if _scope_depth == 0:
+            counts = [(lib, lib.get_threads()) for lib in controls]
+            _scope_saved = [(lib, count) for lib, count in counts if count != 1]
+            for lib, _ in _scope_saved:
+                lib.set_threads(1)
+        _scope_depth += 1
+        threads = max(lib.get_threads() for lib in controls) if controls else "unknown"
+    try:
+        yield threads
+    finally:
+        with _scope_lock:
+            _scope_depth -= 1
+            if _scope_depth == 0:
+                for lib, count in _scope_saved:
+                    lib.set_threads(count)
+                _scope_saved = []

@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from ._linalg import blas_libraries
 from .diagnostics import MIN_ESS_DRAWS, diagnose
 from .errors import BlockGibbsError
 from .model_core import Dataset, GroupStructure, ModelKind, ModelSpec
@@ -266,6 +267,8 @@ def _report_dict(output: ChainOutput) -> dict:
         "iters": output.config.n_iter,
         "burnin": output.config.burn_in,
         "block_update": output.block_update,
+        "blas_threads": output.blas_threads,
+        "blas_libraries": blas_libraries(),
         "rho1": rep.rho1,
         "ess": rep.ess,
         "wall_time_seconds": output.wall_time_seconds,

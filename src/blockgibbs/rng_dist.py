@@ -10,6 +10,7 @@ stream between consumers.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -57,6 +58,13 @@ def _require_positive(**params: float) -> None:
     for name, value in params.items():
         if not math.isfinite(value) or value <= 0.0:
             raise ValueError(f"{name} must be a finite positive number, got {value}")
+
+
+def _require_integers(**params) -> None:
+    """Reject a count or seed that is not an integer; a bool is not one."""
+    for name, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def sample_std_normal(rng: RngStream, size: int | None = None):

@@ -16,6 +16,9 @@ scales (`_prior_precision`), the two residual-variance scales and the
 coefficient draw. `run_chain` is the one chain driver, and
 `sample_mvn_precision` makes the dense update's coefficient draw.
 
+A chain's setup and loop run under `_linalg.one_blas_thread()`, so its draws
+do not depend on the host's BLAS thread count.
+
 Which matrix is factored is decided once per chain from the model and the
 data shape:
 
@@ -40,7 +43,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -48,7 +50,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._linalg import cholesky_spd, solve_lower, solve_lower_t, syrk_lower
+from ._linalg import (
+    cholesky_spd,
+    one_blas_thread,
+    solve_lower,
+    solve_lower_t,
+    syrk_lower,
+)
 from .errors import DimensionMismatchError, FactorizationError, SamplerError
 from .model_core import (
     ChainState,
@@ -58,7 +66,12 @@ from .model_core import (
     add_prior_precision,
     SymmetricTridiagonal,
 )
-from .rng_dist import RngStream, _inverse_gaussian_draws, _require_positive
+from .rng_dist import (
+    RngStream,
+    _inverse_gaussian_draws,
+    _require_integers,
+    _require_positive,
+)
 
 __all__ = [
     "KernelKind",
@@ -87,9 +100,8 @@ class RunConfig:
     thin: int = 1
 
     def __post_init__(self):
-        for name in ("n_iter", "burn_in", "thin", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        _require_integers(n_iter=self.n_iter, burn_in=self.burn_in,
+                          thin=self.thin, seed=self.seed)
         if self.n_iter < 1:
             raise ValueError("n_iter must be >= 1")
         if not 0 <= self.burn_in < self.n_iter:
@@ -109,7 +121,8 @@ class ChainOutput:
     `wall_time_seconds` covers the iteration loop only (burn-in included),
     measured on a monotonic clock; dataset generation and I/O are excluded.
     `block_update` names the (sigma2, beta) update the chain ran: "dense" or
-    "nspace".
+    "nspace". `blas_threads` is the BLAS thread count in effect during the
+    loop: 1, or "unknown" where no OpenBLAS control was found.
     """
 
     sigma2_draws: np.ndarray
@@ -122,6 +135,7 @@ class ChainOutput:
     p: int
     config: RunConfig
     block_update: str
+    blas_threads: int | str
 
 
 # The chain loop runs with every floating-point warning off: an all-zero
@@ -227,8 +241,9 @@ def sample_mvn_precision(b: np.ndarray, precision: np.ndarray, sigma2: float,
     """Draw from N(A^-1 b, sigma2 * A^-1) given the precision matrix A.
 
     One Cholesky factorization, reused by the mean and the noise term; the
-    draw is the dense block update's coefficient draw. `precision` must be
-    square and `b` of its order (`DimensionMismatchError` otherwise).
+    draw is the dense block update's coefficient draw, made under one BLAS
+    thread as in the chain. `precision` must be square and `b` of its order
+    (`DimensionMismatchError` otherwise).
     """
     _require_positive(sigma2=sigma2)
     b = np.asarray(b, dtype=np.float64)
@@ -240,8 +255,9 @@ def sample_mvn_precision(b: np.ndarray, precision: np.ndarray, sigma2: float,
     if b.shape != precision.shape[:1]:
         raise DimensionMismatchError("b length vs precision order",
                                      precision.shape[0], b.size)
-    chol = cholesky_spd(precision, "precision")
-    return _beta_from_factor(chol, solve_lower(chol, b), sigma2, rng.generator)
+    with one_blas_thread():
+        chol = cholesky_spd(precision, "precision")
+        return _beta_from_factor(chol, solve_lower(chol, b), sigma2, rng.generator)
 
 
 def _dense_block_sampler(spec: ModelSpec, dataset: Dataset, kernel: KernelKind):
@@ -342,6 +358,7 @@ def run_chain(kernel: KernelKind, spec: ModelSpec, dataset: Dataset,
     The chain starts from `initial_state` (default `initial_chain_state`).
     Under `RunConfig(n_iter=1, burn_in=0, store_beta=True)` it runs one
     iteration, and the stored draws are the state that iteration hands on.
+    The chain's setup and loop run under `one_blas_thread()`.
     """
     kernel = KernelKind(kernel)
     spec.validate_for(dataset)
@@ -356,42 +373,45 @@ def run_chain(kernel: KernelKind, spec: ModelSpec, dataset: Dataset,
     sigma2 = state.sigma2
     gen = rng.generator
     latent = _latent_sampler(spec)
-    block = _BLOCK_SAMPLERS[update](spec, dataset, kernel)
 
     n_keep = (config.n_iter - config.burn_in) // config.thin
     sigma2_draws = np.empty(n_keep)
     beta_draws = np.empty((n_keep, dataset.p)) if config.store_beta else None
 
-    with np.errstate(**_QUIET):
-        t0 = time.perf_counter()
-        for it in range(config.n_iter):
-            try:
-                prior_inv = _prior_precision(spec, latent(beta, sigma2, gen))
-                beta, sigma2 = block(beta, prior_inv, gen)
-            except (ValueError, FactorizationError) as exc:
-                raise SamplerError(it, str(exc)) from exc
-            if not (math.isfinite(sigma2) and np.isfinite(beta).all()):
-                raise SamplerError(it, "non-finite draw")
-            k = it - config.burn_in
-            if k >= 0 and k % config.thin == config.thin - 1:
-                sigma2_draws[k // config.thin] = sigma2
-                if beta_draws is not None:
-                    beta_draws[k // config.thin] = beta
-        wall = time.perf_counter() - t0
+    with one_blas_thread() as threads:
+        block = _BLOCK_SAMPLERS[update](spec, dataset, kernel)
+        with np.errstate(**_QUIET):
+            t0 = time.perf_counter()
+            for it in range(config.n_iter):
+                try:
+                    prior_inv = _prior_precision(spec, latent(beta, sigma2, gen))
+                    beta, sigma2 = block(beta, prior_inv, gen)
+                except (ValueError, FactorizationError) as exc:
+                    raise SamplerError(it, str(exc)) from exc
+                if not (math.isfinite(sigma2) and np.isfinite(beta).all()):
+                    raise SamplerError(it, "non-finite draw")
+                k = it - config.burn_in
+                if k >= 0 and k % config.thin == config.thin - 1:
+                    sigma2_draws[k // config.thin] = sigma2
+                    if beta_draws is not None:
+                        beta_draws[k // config.thin] = beta
+            wall = time.perf_counter() - t0
 
     return ChainOutput(sigma2_draws=sigma2_draws, beta_draws=beta_draws,
                        wall_time_seconds=wall, kernel=kernel, model=spec,
                        seed=rng.seed, n=dataset.n, p=dataset.p, config=config,
-                       block_update=update)
+                       block_update=update, blas_threads=threads)
 
 
 def map_jobs(worker, items, jobs: int = 1) -> list:
     """Run `worker` over `items`, optionally across processes.
 
     Results come back in the order of `items` regardless of completion
-    order, so parallel benchmark output stays deterministic.
+    order, so parallel benchmark output stays deterministic. The workers are
+    forked under `one_blas_thread()` and inherit its one BLAS thread, so
+    their chains' scopes make no OpenBLAS call (see `_linalg`).
     """
     if jobs <= 1:
         return [worker(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with one_blas_thread(), ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, items))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model_core import Dataset, GroupStructure
-from .rng_dist import RngStream, sample_student_t
+from .rng_dist import RngStream, _require_integers, sample_student_t
 
 __all__ = [
     "Scenario",
@@ -53,6 +53,7 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _require_integers(n=self.n, p=self.p, seed=self.seed)
         if self.n < 1 or self.p < 1:
             raise ValueError("n and p must be positive")
         if self.scenario is Scenario.ADJACENT_SIMILAR:

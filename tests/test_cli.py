@@ -200,7 +200,7 @@ def test_dataset_csv_round_trip(tmp_path):
 
 RUN_REPORT_KEYS = {
     "model", "kernel", "n", "p", "seed", "iters", "burnin", "block_update",
-    "rho1", "ess",
+    "blas_threads", "blas_libraries", "rho1", "ess",
     "wall_time_seconds", "ess_per_second", "sigma2_mean", "sigma2_q025",
     "sigma2_q975",
 }

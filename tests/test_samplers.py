@@ -180,7 +180,8 @@ def test_run_config_validation():
 
 @pytest.mark.parametrize("field,value", [("n_iter", 10.5), ("n_iter", 10.0),
                                          ("burn_in", 1.5), ("thin", 1.5),
-                                         ("seed", 2.5), ("n_iter", "10")])
+                                         ("seed", 2.5), ("n_iter", "10"),
+                                         ("thin", True), ("seed", False)])
 def test_run_config_rejects_non_integral_counts(field, value):
     # a float count used to build and then fail inside the loop's range()
     with pytest.raises(ValueError, match=f"{field} must be an integer"):

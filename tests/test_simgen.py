@@ -129,6 +129,25 @@ def test_scenario_spec_validation_and_dispatch():
     np.testing.assert_array_equal(sim.dataset.x, again.dataset.x)
 
 
+@pytest.mark.parametrize("field,value", [("n", 10.5), ("n", 10.0), ("p", 10.0),
+                                         ("p", True), ("seed", 2.5), ("seed", True),
+                                         ("n", "10")])
+def test_scenario_spec_rejects_non_integral_fields(field, value):
+    # a float n or p used to pass the checks and fail inside numpy's draw
+    # with a TypeError
+    fields = {"n": 10, "p": 10, "seed": 0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ScenarioSpec(Scenario.EXTRA_WIDE, **fields)
+
+
+def test_generators_reject_non_integral_counts():
+    with pytest.raises(ValueError, match="p must be an integer"):
+        gen_scenario1(10, 2.0, RngStream(0))
+    with pytest.raises(ValueError, match="n must be an integer"):
+        gen_extra_wide(10.5, 10, RngStream(0))
+    assert ScenarioSpec(Scenario.EXTRA_WIDE, np.int64(10), np.int32(10)).generate().dataset.n == 10
+
+
 @pytest.mark.parametrize("scenario,p", [("s1", 15), ("s2", 10), ("wide", 20), ("tall", 5)])
 def test_scenario_spec_groups_match_generated(scenario, p):
     spec = ScenarioSpec(Scenario(scenario), 12, p, seed=3)
