@@ -26,7 +26,6 @@ from .model_core import (
     GroupStructure,
     ModelKind,
     ModelSpec,
-    SymmetricTridiagonal,
 )
 from .rng_dist import (
     RngStream,

@@ -5,7 +5,7 @@ Covariance structure conventions:
 * group models: the prior covariance of the coefficients is diagonal, so
   only its diagonal vector is ever built (O(p) memory, never a dense p x p).
 * fused model: the prior *precision* is symmetric tridiagonal and is stored
-  as two bands (:class:`SymmetricTridiagonal`).
+  as two bands, the diagonal and the off-diagonal band.
 * Inverse-Gamma(shape a, scale b) means density proportional to
   x^(-a-1) exp(-b/x) throughout.
 """
@@ -171,27 +171,10 @@ class ChainState:
         object.__setattr__(self, "sigma2", float(self.sigma2))
 
 
-@dataclass(frozen=True)
-class SymmetricTridiagonal:
-    """Symmetric tridiagonal matrix stored as its two bands."""
-
-    diag: np.ndarray
-    off: np.ndarray
-
-    def to_dense(self) -> np.ndarray:
-        p = self.diag.shape[0]
-        m = np.zeros((p, p))
-        m[np.arange(p), np.arange(p)] = self.diag
-        idx = np.arange(p - 1)
-        m[idx, idx + 1] = self.off
-        m[idx + 1, idx] = self.off
-        return m
-
-
-def add_prior_precision(gram: np.ndarray,
-                        prior_inv: np.ndarray | SymmetricTridiagonal,
+def add_prior_precision(gram: np.ndarray, diag: np.ndarray,
+                        off: np.ndarray | None = None, *,
                         out: np.ndarray) -> np.ndarray:
-    """X^T X plus a prior precision given as a diagonal or as bands, into `out`.
+    """X^T X plus a prior precision (diagonal `diag`, optional band `off`) into `out`.
 
     `out` is a C- or Fortran-contiguous p x p array; the bands are added
     through strided flat views, so a reused `out` keeps this allocation-free
@@ -201,16 +184,15 @@ def add_prior_precision(gram: np.ndarray,
     if out.shape != gram.shape or not (out.flags.c_contiguous
                                        or out.flags.f_contiguous):
         raise ValueError("out must be a contiguous array shaped like gram")
+    if diag.shape != (p,):
+        raise DimensionMismatchError("prior precision size vs p", p, np.size(diag))
+    if off is not None and off.shape != (p - 1,):
+        raise DimensionMismatchError("prior precision band size vs p - 1",
+                                     p - 1, np.size(off))
     np.copyto(out, gram)
     # a view in memory order: the diagonal and the two bands sit at the same
     # flat strides in C and in Fortran order
     flat = out.ravel(order="K")
-    if isinstance(prior_inv, SymmetricTridiagonal):
-        diag, off = prior_inv.diag, prior_inv.off
-    else:
-        diag, off = prior_inv, None
-    if diag.shape != (p,):
-        raise DimensionMismatchError("prior precision size vs p", p, np.size(diag))
     flat[::p + 1] += diag
     if off is not None:
         flat[1::p + 1] += off

@@ -11,10 +11,11 @@ residual variance is drawn afterwards:
 
 Either way an iteration performs exactly one Cholesky factorization, reused
 for the variance draw (two-block) and for the coefficient draw. Each
-conditional is written once, here: the prior precision from the latent
-scales (`_prior_precision`), the two residual-variance scales and the
-coefficient draw. `run_chain` is the one chain driver, and
-`sample_mvn_precision` makes the dense update's coefficient draw.
+conditional is written once, here: each model's prior (the latent-scale
+draw, the prior precision Q and beta^T Q beta) in one object per chain
+(`_chain_prior`), the two residual-variance scales and the coefficient draw.
+`run_chain` is the one chain driver, and `sample_mvn_precision` makes the
+dense update's coefficient draw.
 
 A chain's setup and loop run under `_linalg.one_blas_thread()`, so its draws
 do not depend on the host's BLAS thread count.
@@ -64,7 +65,6 @@ from .model_core import (
     ModelKind,
     ModelSpec,
     add_prior_precision,
-    SymmetricTridiagonal,
 )
 from .rng_dist import (
     RngStream,
@@ -156,51 +156,71 @@ def _ig_draws(lam_sq: float, sigma2: float, sq: np.ndarray,
     return _inverse_gaussian_draws(np.sqrt(lam_sq * sigma2 / sq), lam_sq, gen)
 
 
-def _latent_sampler(spec: ModelSpec):
-    """Draw of the reciprocal latent scales given the incoming (beta, sigma2).
+class _DiagonalPrior:
+    """Group and sparse group lasso: Q = diag(1/tau_g^2 repeated over group g),
+    plus diag(1/gamma_j^2) for the sparse group lasso."""
 
-    Returns `draw(beta, sigma2, gen) -> tuple of reciprocal scales` with the
-    model branch and the squared penalties resolved once.
+    off = None
+
+    def __init__(self, spec: ModelSpec):
+        self._offsets = spec.groups.offsets
+        self._sizes = spec.groups.group_sizes
+        if spec.kind is ModelKind.GROUP_LASSO:
+            self._lam_sq, self._lam2_sq = spec.lam * spec.lam, None
+        else:
+            self._lam_sq, self._lam2_sq = spec.lam1 * spec.lam1, spec.lam2 * spec.lam2
+        self.diag = None
+
+    def draw(self, beta, sigma2, gen):
+        sq = _kernels.group_sqnorms(beta, self._offsets)
+        scales = (_ig_draws(self._lam_sq, sigma2, sq, gen),)
+        if self._lam2_sq is not None:
+            scales += (_ig_draws(self._lam2_sq, sigma2, beta * beta, gen),)
+        self.set_scales(scales)
+        return scales
+
+    def set_scales(self, scales):
+        diag = _kernels.expand_by_group(scales[0], self._sizes)
+        self.diag = diag if len(scales) == 1 else diag + scales[1]
+
+    def quad_form(self, beta) -> float:
+        return float(self.diag @ (beta * beta))
+
+
+class _FusedPrior:
+    """Fused lasso: Q = diag(1/tau_j^2) plus, for each difference,
+    (e_j - e_{j+1}) (e_j - e_{j+1})^T / omega_j^2, a tridiagonal matrix."""
+
+    def __init__(self, spec: ModelSpec):
+        self._lam1_sq, self._lam2_sq = spec.lam1 * spec.lam1, spec.lam2 * spec.lam2
+        self.diag = self.off = None
+
+    def draw(self, beta, sigma2, gen):
+        inv_tau2 = _ig_draws(self._lam1_sq, sigma2, beta * beta, gen)
+        diffs = beta[1:] - beta[:-1]
+        scales = (inv_tau2, _ig_draws(self._lam2_sq, sigma2, diffs * diffs, gen))
+        self.set_scales(scales)
+        return scales
+
+    def set_scales(self, scales):
+        self.diag, self.off = _kernels.fused_bands(scales[0], scales[1])
+
+    def quad_form(self, beta) -> float:
+        return _kernels.tridiag_quad_form(self.diag, self.off, beta)
+
+
+def _chain_prior(spec: ModelSpec):
+    """The prior object of one chain: the one home of the model's prior.
+
+    `draw(beta, sigma2, gen)` draws the reciprocal latent scales from the
+    incoming (beta, sigma2) in the draw-order contract's order, sets Q from
+    them and returns them; `set_scales(scales)` sets Q from given reciprocal
+    scales. Q is held as its diagonal `diag` and its off-diagonal band `off`
+    (None for a diagonal Q), and `quad_form(beta)` gives beta^T Q beta.
     """
-    kind = spec.kind
-    if kind is ModelKind.FUSED_LASSO:
-        lam1_sq, lam2_sq = spec.lam1 * spec.lam1, spec.lam2 * spec.lam2
-
-        def draw_fused(beta, sigma2, gen):
-            inv_tau2 = _ig_draws(lam1_sq, sigma2, beta * beta, gen)
-            diffs = beta[1:] - beta[:-1]
-            return (inv_tau2, _ig_draws(lam2_sq, sigma2, diffs * diffs, gen))
-
-        return draw_fused
-    offsets = spec.groups.offsets
-    if kind is ModelKind.GROUP_LASSO:
-        lam_sq = spec.lam * spec.lam
-
-        def draw_group(beta, sigma2, gen):
-            sq = _kernels.group_sqnorms(beta, offsets)
-            return (_ig_draws(lam_sq, sigma2, sq, gen),)
-
-        return draw_group
-    lam1_sq, lam2_sq = spec.lam1 * spec.lam1, spec.lam2 * spec.lam2
-
-    def draw_sparse(beta, sigma2, gen):
-        sq = _kernels.group_sqnorms(beta, offsets)
-        inv_tau2 = _ig_draws(lam1_sq, sigma2, sq, gen)
-        return (inv_tau2, _ig_draws(lam2_sq, sigma2, beta * beta, gen))
-
-    return draw_sparse
-
-
-def _prior_precision(spec: ModelSpec, inv_scales: tuple[np.ndarray, ...]):
-    """Prior precision (diagonal vector or tridiagonal bands) from reciprocals."""
-    kind = spec.kind
-    if kind is ModelKind.GROUP_LASSO:
-        return _kernels.expand_by_group(inv_scales[0], spec.groups.group_sizes)
-    if kind is ModelKind.SPARSE_GROUP_LASSO:
-        rep = _kernels.expand_by_group(inv_scales[0], spec.groups.group_sizes)
-        return rep + inv_scales[1]
-    diag, off = _kernels.fused_bands(inv_scales[0], inv_scales[1])
-    return SymmetricTridiagonal(diag, off)
+    if spec.kind is ModelKind.FUSED_LASSO:
+        return _FusedPrior(spec)
+    return _DiagonalPrior(spec)
 
 
 def _gamma_shape(spec: ModelSpec, dataset: Dataset, two_block: bool) -> float:
@@ -209,14 +229,10 @@ def _gamma_shape(spec: ModelSpec, dataset: Dataset, two_block: bool) -> float:
     return 0.5 * (dataset.n + dataset.p + 2.0 * spec.alpha)
 
 
-def _full_conditional_scale(x, y, xi: float, beta, prior_inv) -> float:
+def _full_conditional_scale(x, y, xi: float, beta, prior) -> float:
     """Three-block sigma2 scale: 0.5 (||y - X beta||^2 + beta^T Q beta) + xi."""
     resid = y - x @ beta
-    if isinstance(prior_inv, SymmetricTridiagonal):
-        quad = _kernels.tridiag_quad_form(prior_inv.diag, prior_inv.off, beta)
-    else:
-        quad = float(prior_inv @ (beta * beta))
-    return 0.5 * (float(resid @ resid) + quad + 2.0 * xi)
+    return 0.5 * (float(resid @ resid) + prior.quad_form(beta) + 2.0 * xi)
 
 
 def _checked_scale(scale: float) -> float:
@@ -263,10 +279,10 @@ def sample_mvn_precision(b: np.ndarray, precision: np.ndarray, sigma2: float,
 def _dense_block_sampler(spec: ModelSpec, dataset: Dataset, kernel: KernelKind):
     """Block update through the p x p posterior precision X^T X + Q.
 
-    Returns `draw(beta, prior_inv, gen) -> (new_beta, sigma2)`. X^T X is kept
-    in Fortran order, so that copying it into the scratch array, where each
-    iteration assembles the posterior precision and LAPACK factors it in
-    place, is one contiguous copy.
+    Returns `draw(beta, prior, gen) -> (new_beta, sigma2)` for the chain's
+    prior object `prior`. X^T X is kept in Fortran order, so that copying it
+    into the scratch array, where each iteration assembles the posterior
+    precision and LAPACK factors it in place, is one contiguous copy.
     """
     two_block = kernel is KernelKind.TWO_BLOCK
     shape = _gamma_shape(spec, dataset, two_block)
@@ -276,14 +292,14 @@ def _dense_block_sampler(spec: ModelSpec, dataset: Dataset, kernel: KernelKind):
     xty, yty = x.T @ y, float(y @ y)
     a = np.empty_like(gram, order="F")
 
-    def draw(beta, prior_inv, gen):
-        chol = cholesky_spd(add_prior_precision(gram, prior_inv, out=a),
+    def draw(beta, prior, gen):
+        chol = cholesky_spd(add_prior_precision(gram, prior.diag, prior.off, out=a),
                             "posterior precision", overwrite=True)
         u = solve_lower(chol, xty)
         if two_block:
             scale = 0.5 * (yty - float(u @ u)) + xi
         else:
-            scale = _full_conditional_scale(x, y, xi, beta, prior_inv)
+            scale = _full_conditional_scale(x, y, xi, beta, prior)
         sigma2 = _checked_scale(scale) / gen.gamma(shape)
         return _beta_from_factor(chol, u, sigma2, gen), float(sigma2)
 
@@ -293,7 +309,7 @@ def _dense_block_sampler(spec: ModelSpec, dataset: Dataset, kernel: KernelKind):
 def _nspace_block_sampler(spec: ModelSpec, dataset: Dataset, kernel: KernelKind):
     """Block update through the n x n matrix I + X D X^T (diagonal priors only).
 
-    With D = 1 / prior_inv and L the Cholesky factor of I + X D X^T, the
+    With D = 1 / prior.diag and L the Cholesky factor of I + X D X^T, the
     two-block scale is 0.5 ||L^-1 y||^2 + xi and, with xi and delta standard
     normal, beta = u + D X^T L^-T L^-1 (y - X u - sigma delta) for
     u = sigma sqrt(D) xi has the dense update's mean and covariance. The
@@ -309,8 +325,8 @@ def _nspace_block_sampler(spec: ModelSpec, dataset: Dataset, kernel: KernelKind)
     # the diagonal sits at the same flat stride in C and in Fortran order
     m_diag = m.ravel(order="K")[::n + 1]
 
-    def draw(beta, prior_inv, gen):
-        d = 1.0 / prior_inv
+    def draw(beta, prior, gen):
+        d = 1.0 / prior.diag
         sqrt_d = np.sqrt(d)
         np.multiply(x, sqrt_d, out=xs)
         syrk_lower(xs, m)
@@ -320,7 +336,7 @@ def _nspace_block_sampler(spec: ModelSpec, dataset: Dataset, kernel: KernelKind)
             ly = solve_lower(chol, y)
             scale = 0.5 * float(ly @ ly) + xi
         else:
-            scale = _full_conditional_scale(x, y, xi, beta, prior_inv)
+            scale = _full_conditional_scale(x, y, xi, beta, prior)
         sigma2 = _checked_scale(scale) / gen.gamma(shape)
         sigma = math.sqrt(sigma2)
         z = gen.standard_normal(p + n)
@@ -372,7 +388,7 @@ def run_chain(kernel: KernelKind, spec: ModelSpec, dataset: Dataset,
     beta = state.beta
     sigma2 = state.sigma2
     gen = rng.generator
-    latent = _latent_sampler(spec)
+    prior = _chain_prior(spec)
 
     n_keep = (config.n_iter - config.burn_in) // config.thin
     sigma2_draws = np.empty(n_keep)
@@ -384,8 +400,8 @@ def run_chain(kernel: KernelKind, spec: ModelSpec, dataset: Dataset,
             t0 = time.perf_counter()
             for it in range(config.n_iter):
                 try:
-                    prior_inv = _prior_precision(spec, latent(beta, sigma2, gen))
-                    beta, sigma2 = block(beta, prior_inv, gen)
+                    prior.draw(beta, sigma2, gen)
+                    beta, sigma2 = block(beta, prior, gen)
                 except (ValueError, FactorizationError) as exc:
                     raise SamplerError(it, str(exc)) from exc
                 if not (math.isfinite(sigma2) and np.isfinite(beta).all()):

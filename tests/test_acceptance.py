@@ -35,7 +35,7 @@ from blockgibbs import (
     samplers,
 )
 from blockgibbs.cli import main as cli_main
-from block_stubs import block_draw, frozen_scale_draws
+from block_stubs import block_draw, fixed_prior, frozen_scale_draws, to_dense
 
 # ---------------------------------------------------------------------------
 # tiny-instance posterior means from the quadrature oracles
@@ -329,8 +329,8 @@ def test_criterion_9_structural_invariants(tmp_path):
         p = int(rng.integers(2, 15))
         tau2 = rng.uniform(0.05, 4.0, p)
         omega2 = rng.uniform(0.05, 4.0, p - 1)
-        tri = samplers._prior_precision(fused, (1.0 / tau2, 1.0 / omega2))
-        np.testing.assert_allclose(tri.to_dense().sum(axis=1), 1.0 / tau2,
+        tri = fixed_prior(fused, 1.0 / tau2, 1.0 / omega2)
+        np.testing.assert_allclose(to_dense(tri).sum(axis=1), 1.0 / tau2,
                                    rtol=1e-12)
     print("[criterion 9] fused row-sum identity holds")
 
@@ -344,7 +344,8 @@ def test_criterion_9_structural_invariants(tmp_path):
         prior_inv = rng.uniform(0.2, 3.0, p)
         spec = ModelSpec.group_lasso(1.0, GroupStructure(np.ones(p, dtype=np.int64)))
         updates.add(samplers._block_update(spec, ds))
-        mean, scale = block_draw(spec, ds, KernelKind.TWO_BLOCK, np.zeros(p), prior_inv)
+        mean, scale = block_draw(spec, ds, KernelKind.TWO_BLOCK, np.zeros(p),
+                                 (prior_inv,))
         resid = ds.y - ds.x @ mean
         rhs = 0.5 * (resid @ resid + prior_inv @ (mean * mean))
         assert scale == pytest.approx(rhs, rel=1e-8)

@@ -11,13 +11,17 @@ from blockgibbs import (
     ModelKind,
     ModelSpec,
     RunConfig,
-    SymmetricTridiagonal,
     run_chain,
-    samplers,
 )
 from blockgibbs._linalg import cholesky_spd
 from blockgibbs.model_core import add_prior_precision
-from block_stubs import BasisGenerator, block_draw, frozen_scale_draws
+from block_stubs import (
+    BasisGenerator,
+    block_draw,
+    fixed_prior,
+    frozen_scale_draws,
+    to_dense,
+)
 
 
 def groups_of(*sizes):
@@ -99,19 +103,17 @@ def test_fused_needs_two_coefficients():
 
 def group_prior(tau2, *sizes):
     spec = ModelSpec.group_lasso(1.0, groups_of(*sizes))
-    return samplers._prior_precision(spec, (1.0 / np.asarray(tau2),))
+    return fixed_prior(spec, 1.0 / np.asarray(tau2)).diag
 
 
 def sparse_prior(tau2, gamma2, *sizes):
     spec = ModelSpec.sparse_group_lasso(1.0, 1.0, groups_of(*sizes))
-    return samplers._prior_precision(spec, (1.0 / np.asarray(tau2),
-                                            1.0 / np.asarray(gamma2)))
+    return fixed_prior(spec, 1.0 / np.asarray(tau2), 1.0 / np.asarray(gamma2)).diag
 
 
 def fused_prior(tau2, omega2):
     spec = ModelSpec.fused_lasso(1.0, 1.0)
-    return samplers._prior_precision(spec, (1.0 / np.asarray(tau2),
-                                            1.0 / np.asarray(omega2)))
+    return fixed_prior(spec, 1.0 / np.asarray(tau2), 1.0 / np.asarray(omega2))
 
 
 def test_group_cov_repeats_by_group():
@@ -154,11 +156,11 @@ def test_sparse_group_cov_mixed_groups():
 
 def test_fused_precision_small_cases():
     t = fused_prior(np.ones(2), np.ones(1))
-    np.testing.assert_array_equal(t.to_dense(), [[2.0, -1.0], [-1.0, 2.0]])
+    np.testing.assert_array_equal(to_dense(t), [[2.0, -1.0], [-1.0, 2.0]])
 
     t = fused_prior(np.ones(3), np.ones(2))
     np.testing.assert_array_equal(
-        t.to_dense(), [[2.0, -1.0, 0.0], [-1.0, 3.0, -1.0], [0.0, -1.0, 2.0]])
+        to_dense(t), [[2.0, -1.0, 0.0], [-1.0, 3.0, -1.0], [0.0, -1.0, 2.0]])
 
 
 def test_fused_precision_general_entries():
@@ -182,7 +184,7 @@ def test_fused_precision_row_sums_cancel():
         tau2 = rng.uniform(0.1, 5.0, p)
         omega2 = rng.uniform(0.1, 5.0, p - 1)
         t = fused_prior(tau2, omega2)
-        np.testing.assert_allclose(t.to_dense().sum(axis=1), 1.0 / tau2,
+        np.testing.assert_allclose(to_dense(t).sum(axis=1), 1.0 / tau2,
                                    rtol=1e-12)
 
 
@@ -210,43 +212,60 @@ def test_assemble_single_column():
     np.testing.assert_array_equal(assemble(ds, np.ones(1)), [[2.0]])
 
 
+def random_prior(rng, model, p):
+    """The chain's prior object for `model` at p coefficients, with Q set from
+    random reciprocal scales; the group models get random contiguous groups."""
+    if model == "fused":
+        return fixed_prior(ModelSpec.fused_lasso(1.0, 1.0),
+                           rng.uniform(0.2, 3.0, p), rng.uniform(0.2, 3.0, p - 1))
+    cuts = np.flatnonzero(rng.random(p - 1) < 0.5) + 1
+    groups = GroupStructure(np.diff(np.concatenate([[0], cuts, [p]])))
+    inv_tau2 = rng.uniform(0.2, 3.0, groups.n_groups)
+    if model == "group":
+        return fixed_prior(ModelSpec.group_lasso(1.0, groups), inv_tau2)
+    return fixed_prior(ModelSpec.sparse_group_lasso(1.0, 1.0, groups), inv_tau2,
+                       rng.uniform(0.2, 3.0, p))
+
+
+# the prior objects by the shape of Q: diagonal, or tridiagonal with a band
+MODELS_BY_SHAPE = {"diagonal": ("group", "sparse"), "tridiagonal": ("fused",)}
+
+
 def test_assemble_symmetric_positive_definite():
     rng = np.random.default_rng(11)
     for _ in range(25):
         n, p = int(rng.integers(1, 10)), int(rng.integers(2, 8))
         ds = Dataset(y=rng.standard_normal(n), x=rng.standard_normal((n, p)))
-        for prior_inv in _priors(rng, p).values():
-            a = assemble(ds, prior_inv)
+        gram = ds.x.T @ ds.x
+        for model in ("group", "sparse", "fused"):
+            prior = random_prior(rng, model, p)
+            a = add_prior_precision(gram, prior.diag, prior.off,
+                                    out=np.empty_like(gram))
             np.testing.assert_allclose(a, a.T, atol=1e-12)
             assert np.all(np.linalg.eigvalsh(a) > 0)
-
-
-def _priors(rng, p):
-    return {
-        "diagonal": rng.uniform(0.2, 3.0, p),
-        "tridiagonal": SymmetricTridiagonal(rng.uniform(2.0, 3.0, p),
-                                            rng.uniform(-0.5, 0.5, p - 1)),
-    }
-
-
-def _dense(prior):
-    if isinstance(prior, SymmetricTridiagonal):
-        return prior.to_dense()
-    return np.diag(prior)
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "tridiagonal"])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_add_prior_precision_into_workspace_equals_copy(kind, order):
+    # every model's prior object, from random fixed scales: add_prior_precision
+    # writes exactly gram + Q into the workspace, and quad_form is beta^T Q beta
     rng = np.random.default_rng(12)
-    for p in (1, 2, 3, 7):
-        x = rng.standard_normal((p + 4, p))
-        gram = x.T @ x
-        prior = _priors(rng, p)[kind]
-        out = np.full((p, p), np.nan, order=order)
-        a = add_prior_precision(np.asarray(gram, order=order), prior, out=out)
-        assert a is out
-        np.testing.assert_array_equal(a, gram.copy() + _dense(prior))
+    for model in MODELS_BY_SHAPE[kind]:
+        for p in (1, 2, 3, 7) if kind == "diagonal" else (2, 3, 7):
+            for _ in range(5):
+                x = rng.standard_normal((p + 4, p))
+                gram = x.T @ x
+                prior = random_prior(rng, model, p)
+                q = to_dense(prior)
+                out = np.full((p, p), np.nan, order=order)
+                a = add_prior_precision(np.asarray(gram, order=order), prior.diag,
+                                        prior.off, out=out)
+                assert a is out
+                np.testing.assert_array_equal(a, gram.copy() + q)
+                beta = rng.standard_normal(p)
+                assert prior.quad_form(beta) == pytest.approx(beta @ q @ beta,
+                                                               rel=1e-13)
 
 
 def test_add_prior_precision_rejects_strided_workspace():
@@ -255,6 +274,19 @@ def test_add_prior_precision_rejects_strided_workspace():
         add_prior_precision(gram, np.ones(3), out=np.empty((3, 6))[:, ::2])
     with pytest.raises(ValueError, match="contiguous"):
         add_prior_precision(gram, np.ones(3), out=np.empty((2, 2)))
+
+
+@pytest.mark.parametrize("diag,off,match", [
+    (np.ones(2), None, "size vs p: expected length 3, got 2"),
+    (np.ones(3), np.ones(3), "band size vs p - 1: expected length 2, got 3"),
+    (np.ones(3), np.ones(1), "band size vs p - 1: expected length 2, got 1"),
+])
+def test_add_prior_precision_rejects_mis_sized_bands(diag, off, match):
+    # rejected before anything is written into the workspace
+    out = np.full((3, 3), 7.0)
+    with pytest.raises(DimensionMismatchError, match=match):
+        add_prior_precision(np.eye(3), diag, off, out=out)
+    assert np.all(out == 7.0)
 
 
 def test_cholesky_overwrite_factors_in_place():
@@ -279,24 +311,25 @@ def group_spec(p, alpha=0.0, xi=0.0):
 
 
 def marginal(ds, prior_inv, alpha=0.0, xi=0.0):
-    """(gamma shape, scale) of the two-block sigma2 draw."""
+    """(gamma shape, scale) of the two-block sigma2 draw, Q = diag(prior_inv)."""
     gen = BasisGenerator()
     _, scale = block_draw(group_spec(ds.p, alpha, xi), ds, KernelKind.TWO_BLOCK,
-                          np.zeros(ds.p), prior_inv, gen)
+                          np.zeros(ds.p), (prior_inv,), gen)
     return gen.shapes[0], scale
 
 
 def conditional(ds, beta, prior_inv, alpha=0.0, xi=0.0):
-    """(gamma shape, scale) of the three-block sigma2 draw given beta."""
+    """(gamma shape, scale) of the three-block sigma2 draw given beta,
+    Q = diag(prior_inv)."""
     gen = BasisGenerator()
     _, scale = block_draw(group_spec(ds.p, alpha, xi), ds, KernelKind.THREE_BLOCK,
-                          beta, prior_inv, gen)
+                          beta, (prior_inv,), gen)
     return gen.shapes[0], scale
 
 
 def beta_mean(ds, prior_inv):
     return block_draw(group_spec(ds.p), ds, KernelKind.TWO_BLOCK,
-                      np.zeros(ds.p), prior_inv)[0]
+                      np.zeros(ds.p), (prior_inv,))[0]
 
 
 def test_marginal_sigma2_zero_design():
@@ -371,8 +404,9 @@ def test_beta_conditional_hand_instance_and_covariance():
     # A = 2: mean 0.5; with sigma2 = the scale 0.75, covariance 0.75 / 2
     ds = Dataset(y=np.array([1.0, 1.0]), x=np.array([[1.0], [0.0]]))
     spec = group_spec(1)
-    mean, sigma2 = block_draw(spec, ds, KernelKind.TWO_BLOCK, np.zeros(1), np.ones(1))
-    unit, _ = block_draw(spec, ds, KernelKind.TWO_BLOCK, np.zeros(1), np.ones(1),
+    mean, sigma2 = block_draw(spec, ds, KernelKind.TWO_BLOCK, np.zeros(1),
+                              (np.ones(1),))
+    unit, _ = block_draw(spec, ds, KernelKind.TWO_BLOCK, np.zeros(1), (np.ones(1),),
                          BasisGenerator(0))
     assert mean[0] == pytest.approx(0.5, rel=1e-14)
     assert sigma2 == pytest.approx(0.75, rel=1e-14)
@@ -402,6 +436,6 @@ def test_quadratic_form_identity():
         ds = Dataset(y=rng.standard_normal(n), x=rng.standard_normal((n, p)))
         prior_inv = rng.uniform(0.2, 3.0, p)
         mean, scale = block_draw(group_spec(p), ds, KernelKind.TWO_BLOCK,
-                                 np.zeros(p), prior_inv)
+                                 np.zeros(p), (prior_inv,))
         _, conditional_scale = conditional(ds, mean, prior_inv)
         assert scale == pytest.approx(conditional_scale, rel=1e-8)
