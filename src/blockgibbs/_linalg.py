@@ -1,4 +1,4 @@
-"""Counted Cholesky factorization, triangular solves and one BLAS thread.
+"""Counted Cholesky factorization, other LAPACK/BLAS wrappers, one BLAS thread.
 
 Thin wrappers over the LAPACK/BLAS routines with per-call overhead kept low
 (these sit inside the per-iteration sampler loop). The factorization counter
@@ -38,8 +38,8 @@ from scipy.linalg.lapack import get_lapack_funcs
 from .errors import FactorizationError
 
 _f64 = np.empty(0, dtype=np.float64)
-_potrf, = get_lapack_funcs(("potrf",), (_f64,))
-_trsv, _syrk = get_blas_funcs(("trsv", "syrk"), (_f64,))
+_potrf, _tpqrt = get_lapack_funcs(("potrf", "tpqrt"), (_f64,))
+_trsv, _trmv, _syrk = get_blas_funcs(("trsv", "trmv", "syrk"), (_f64,))
 
 _factorizations = 0
 
@@ -87,6 +87,35 @@ def solve_lower(chol_lower: np.ndarray, b: np.ndarray) -> np.ndarray:
 def solve_lower_t(chol_lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve L^T x = b for lower-triangular L and a vector b."""
     return _trsv(chol_lower, b, lower=1, trans=1)
+
+
+def mul_upper(r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """R x for upper-triangular R and a vector x; only the upper triangle is read."""
+    return _trmv(r, x)
+
+
+# rows of [x y] per block: the one copy of the data `qr_r` makes (256 KB at p = 250)
+_QR_BLOCK_ROWS = 128
+
+
+def qr_r(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The upper-triangular R of the QR factorization [x y] = Q R.
+
+    `x` is n x p with n > p and `y` has length n; R is (p + 1) x (p + 1) in
+    Fortran order. Blocks of rows are folded into R in turn (LAPACK tpqrt),
+    so neither [x y] nor Q is ever formed.
+    """
+    n, p = x.shape
+    r = np.zeros((p + 1, p + 1), order="F")
+    nb = min(32, p + 1)
+    block = np.empty((min(_QR_BLOCK_ROWS, n), p + 1), order="F")
+    for start in range(0, n, _QR_BLOCK_ROWS):
+        rows = slice(start, min(start + _QR_BLOCK_ROWS, n))
+        if rows.stop - start < block.shape[0]:
+            block = np.empty((rows.stop - start, p + 1), order="F")
+        block[:, :p], block[:, p] = x[rows], y[rows]
+        r = _tpqrt(0, nb, r, block, overwrite_a=1, overwrite_b=1)[0]
+    return r
 
 
 @dataclass(frozen=True)

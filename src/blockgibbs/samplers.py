@@ -10,7 +10,7 @@ residual variance is drawn afterwards:
   coefficients and the fresh scales, then the coefficients.
 
 Either way an iteration performs exactly one Cholesky factorization, reused
-for the variance draw (two-block) and for the coefficient draw. Each
+for the variance draw and for the coefficient draw. Each
 conditional is written once, here: each model's prior (the latent-scale
 draw, the prior precision Q and beta^T Q beta) in one object per chain
 (`_chain_prior`), the two residual-variance scales and the coefficient draw.
@@ -24,11 +24,21 @@ Which matrix is factored is decided once per chain from the model and the
 data shape:
 
 * dense update (every model when p <= n, the fused lasso at any p): the
-  p x p posterior precision X^T X + Q, with Q the prior precision;
+  p x p posterior precision A = X^T X + Q = L L^T, with Q the prior
+  precision. Both scales are S(v) = ||y - X v||^2 + v^T Q v, at the mean
+  m = A^-1 X^T y (two-block) or the incoming beta (three-block). The
+  three-block scale is that sum of squares; when n > p it costs O(p^2),
+  ||y - X v||^2 = ||R [v; -1]||^2 for the triangular factor R of
+  [X y] = Q_xy R taken once per chain, in place of an O(np) residual. The
+  two-block scale uses S(m) = y^T y - u^T u, u = L^-1 X^T y, while it is
+  at least 2^-10 times y^T y + m^T diag(A) m (it has then lost at most ten
+  bits to cancellation or to the conditioning of A), and the same sum of
+  squares otherwise;
 * n-space update (group and sparse group lasso when p > n, where Q is
   diagonal with D = Q^-1): the n x n matrix I + X D X^T, following
   Bhattacharya, Chakraborty & Mallick (2016, Biometrika 103(4)). The
-  two-block scale is the sum of squares 0.5 ||L^-1 y||^2 + xi.
+  two-block scale is the sum of squares 0.5 ||L^-1 y||^2 + xi; the
+  three-block scale keeps the O(np) residual of `_sum_of_squares`.
 
 Draw-order contract per iteration (fixed for reproducibility): group scales
 first, then per-coefficient / per-difference scales, then the residual
@@ -53,7 +63,9 @@ import numpy as np
 from . import _kernels
 from ._linalg import (
     cholesky_spd,
+    mul_upper,
     one_blas_thread,
+    qr_r,
     solve_lower,
     solve_lower_t,
     syrk_lower,
@@ -229,10 +241,35 @@ def _gamma_shape(spec: ModelSpec, dataset: Dataset, two_block: bool) -> float:
     return 0.5 * (dataset.n + dataset.p + 2.0 * spec.alpha)
 
 
-def _full_conditional_scale(x, y, xi: float, beta, prior) -> float:
-    """Three-block sigma2 scale: 0.5 (||y - X beta||^2 + beta^T Q beta) + xi."""
-    resid = y - x @ beta
-    return 0.5 * (float(resid @ resid) + prior.quad_form(beta) + 2.0 * xi)
+def _sum_of_squares(x, y):
+    """`sum_sq(v, prior)` = S(v) = ||y - X v||^2 + v^T Q v for every v.
+
+    When n > p, ||y - X v||^2 = ||R [v; -1]||^2 for R the (p + 1) x (p + 1)
+    triangular factor of [X y] = Q_xy R, taken once per chain (O(n p^2));
+    each call then costs one triangular product, O(p^2), instead of the
+    O(np) residual it computes otherwise.
+    """
+    if x.shape[0] <= x.shape[1]:
+        def sum_sq(v, prior):
+            resid = y - x @ v
+            return float(resid @ resid) + prior.quad_form(v)
+
+        return sum_sq
+    r = qr_r(x, y)
+    v_ext = np.full(x.shape[1] + 1, -1.0)
+
+    def sum_sq(v, prior):
+        v_ext[:-1] = v
+        resid = mul_upper(r, v_ext)
+        return float(resid @ resid) + prior.quad_form(v)
+
+    return sum_sq
+
+
+# the bits the two-block difference S(m) = y^T y - u^T u may lose before it
+# is recomputed as a sum of squares (see the module docstring)
+_GUARD_BITS = 10
+_GUARD = 2.0 ** -_GUARD_BITS
 
 
 def _checked_scale(scale: float) -> float:
@@ -241,14 +278,13 @@ def _checked_scale(scale: float) -> float:
     return scale
 
 
-def _beta_from_factor(chol: np.ndarray, u: np.ndarray, sigma2: float,
-                      gen: np.random.Generator) -> np.ndarray:
-    """Draw from N(A^-1 b, sigma2 A^-1) given A = L L^T and u = L^-1 b.
+def _beta_from_mean(chol: np.ndarray, mean: np.ndarray, sigma2: float,
+                    gen: np.random.Generator) -> np.ndarray:
+    """Draw from N(mean, sigma2 A^-1) given A = L L^T.
 
-    The mean L^-T u plus sqrt(sigma2) L^-T z for z = standard_normal(p).
+    The mean plus sqrt(sigma2) L^-T z for z = standard_normal(p).
     """
-    mean = solve_lower_t(chol, u)
-    z = gen.standard_normal(u.shape[0])
+    z = gen.standard_normal(mean.shape[0])
     return mean + math.sqrt(sigma2) * solve_lower_t(chol, z)
 
 
@@ -273,35 +309,48 @@ def sample_mvn_precision(b: np.ndarray, precision: np.ndarray, sigma2: float,
                                      precision.shape[0], b.size)
     with one_blas_thread():
         chol = cholesky_spd(precision, "precision")
-        return _beta_from_factor(chol, solve_lower(chol, b), sigma2, rng.generator)
+        mean = solve_lower_t(chol, solve_lower(chol, b))
+        return _beta_from_mean(chol, mean, sigma2, rng.generator)
 
 
 def _dense_block_sampler(spec: ModelSpec, dataset: Dataset, kernel: KernelKind):
-    """Block update through the p x p posterior precision X^T X + Q.
+    """Block update through the p x p posterior precision A = X^T X + Q.
 
     Returns `draw(beta, prior, gen) -> (new_beta, sigma2)` for the chain's
     prior object `prior`. X^T X is kept in Fortran order, so that copying it
     into the scratch array, where each iteration assembles the posterior
     precision and LAPACK factors it in place, is one contiguous copy.
+
+    The scales are those of the module docstring. The mean m = L^-T u is
+    computed before the gamma draw; it consumes no random numbers.
     """
     two_block = kernel is KernelKind.TWO_BLOCK
     shape = _gamma_shape(spec, dataset, two_block)
     xi = spec.xi
     x, y = dataset.x, dataset.y
     gram = np.asfortranarray(x.T @ x)
+    gram_diag = gram.diagonal().copy()
     xty, yty = x.T @ y, float(y @ y)
+    sum_sq = _sum_of_squares(x, y)
     a = np.empty_like(gram, order="F")
 
     def draw(beta, prior, gen):
         chol = cholesky_spd(add_prior_precision(gram, prior.diag, prior.off, out=a),
                             "posterior precision", overwrite=True)
         u = solve_lower(chol, xty)
+        mean = solve_lower_t(chol, u)
         if two_block:
-            scale = 0.5 * (yty - float(u @ u)) + xi
+            s = yty - float(u @ u)
+            # the O(p) term is formed only where the test on y^T y passes; a
+            # nan bound (an infinite prior precision, whose coefficient the
+            # factor holds at exactly zero) keeps the difference
+            if (s < _GUARD * yty
+                    or s < _GUARD * (yty + float(((gram_diag + prior.diag) * mean) @ mean))):
+                s = sum_sq(mean, prior)
         else:
-            scale = _full_conditional_scale(x, y, xi, beta, prior)
-        sigma2 = _checked_scale(scale) / gen.gamma(shape)
-        return _beta_from_factor(chol, u, sigma2, gen), float(sigma2)
+            s = sum_sq(beta, prior)
+        sigma2 = _checked_scale(0.5 * s + xi) / gen.gamma(shape)
+        return _beta_from_mean(chol, mean, sigma2, gen), float(sigma2)
 
     return draw
 
@@ -320,6 +369,7 @@ def _nspace_block_sampler(spec: ModelSpec, dataset: Dataset, kernel: KernelKind)
     shape = _gamma_shape(spec, dataset, two_block)
     xi = spec.xi
     x, y, n, p = dataset.x, dataset.y, dataset.n, dataset.p
+    sum_sq = _sum_of_squares(x, y)
     xs = np.empty_like(x)
     m = np.zeros((n, n), order="F")
     # the diagonal sits at the same flat stride in C and in Fortran order
@@ -334,10 +384,10 @@ def _nspace_block_sampler(spec: ModelSpec, dataset: Dataset, kernel: KernelKind)
         chol = cholesky_spd(m, "n-space matrix I + X D X^T", overwrite=True)
         if two_block:
             ly = solve_lower(chol, y)
-            scale = 0.5 * float(ly @ ly) + xi
+            s = float(ly @ ly)
         else:
-            scale = _full_conditional_scale(x, y, xi, beta, prior)
-        sigma2 = _checked_scale(scale) / gen.gamma(shape)
+            s = sum_sq(beta, prior)
+        sigma2 = _checked_scale(0.5 * s + xi) / gen.gamma(shape)
         sigma = math.sqrt(sigma2)
         z = gen.standard_normal(p + n)
         u = (sigma * sqrt_d) * z[:p]

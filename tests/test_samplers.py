@@ -427,14 +427,14 @@ LAYER_CALLS = {
               "tridiag_quad_form": 1, "ig_transform": 2},
 }
 SAMPLER_CALLS = {"add_prior_precision": 1, "cholesky_spd": 1, "solve_lower": 1,
-                 "solve_lower_t": 2}
+                 "solve_lower_t": 2, "mul_upper": 1}
 
 
-@pytest.mark.parametrize("model", list(LAYER_CALLS))
-def test_layer_calls_are_looked_up_at_call_time_and_never_nest(monkeypatch, model):
-    # wrappers set on the modules after import see every call: a helper bound
-    # earlier, by an import of the name or a class attribute, would escape
-    # the benchmark's traced spans and make them read 0 without failing
+LAYER_ITERS = 3
+
+
+def layer_calls(monkeypatch, model, kernel):
+    """(calls per layer name, nested call pairs) of a LAYER_ITERS dense chain."""
     ds, _ = small_group_problem()
     groups = GroupStructure(np.array([2, 1]))
     spec = {"group": ModelSpec.group_lasso(1.0, groups),
@@ -459,14 +459,39 @@ def test_layer_calls_are_looked_up_at_call_time_and_never_nest(monkeypatch, mode
         monkeypatch.setattr(_kernels, name, counting(name, getattr(_kernels, name)))
     for name in SAMPLER_CALLS:
         monkeypatch.setattr(samplers, name, counting(name, getattr(samplers, name)))
-    n_iter = 3
-    out = run_chain(THREE, spec, ds, RunConfig(n_iter=n_iter, burn_in=0, seed=2))
+    out = run_chain(kernel, spec, ds, RunConfig(n_iter=LAYER_ITERS, burn_in=0, seed=2))
     assert out.block_update == "dense"
-    expected = {name: count * n_iter
-                for name, count in {**LAYER_CALLS[model], **SAMPLER_CALLS}.items()
-                if count}
+    return calls, nested
+
+
+def per_iteration(counts):
+    return {name: count * LAYER_ITERS for name, count in counts.items() if count}
+
+
+@pytest.mark.parametrize("model", list(LAYER_CALLS))
+def test_layer_calls_are_looked_up_at_call_time_and_never_nest(monkeypatch, model):
+    # wrappers set on the modules after import see every call: a helper bound
+    # earlier, by an import of the name or a class attribute, would escape
+    # the benchmark's traced spans and make them read 0 without failing
+    calls, nested = layer_calls(monkeypatch, model, THREE)
     assert nested == []
-    assert calls == expected
+    assert calls == per_iteration({**LAYER_CALLS[model], **SAMPLER_CALLS})
+
+
+@pytest.mark.parametrize("guard", ["kept", "fired"])
+@pytest.mark.parametrize("model", list(LAYER_CALLS))
+def test_two_block_layer_calls_follow_the_scale_guard(monkeypatch, model, guard):
+    # the two-block scale makes the three-block scale's sum of squares, its
+    # triangular product and beta^T Q beta (the fused lasso's
+    # tridiag_quad_form), only where its guard recomputes S(m)
+    if guard == "fired":
+        monkeypatch.setattr(samplers, "_GUARD", math.inf)
+    calls, nested = layer_calls(monkeypatch, model, TWO)
+    counts = {**LAYER_CALLS[model], **SAMPLER_CALLS}
+    if guard == "kept":
+        counts.update(tridiag_quad_form=0, mul_upper=0)
+    assert nested == []
+    assert calls == per_iteration(counts)
 
 
 # ---------------------------------------------------------------------------
