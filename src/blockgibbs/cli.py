@@ -436,6 +436,8 @@ def _grid_from_args(args) -> BenchGrid:
         raise UsageError("bench requires --scenario")
     if args.reps < 1:
         raise UsageError("--reps must be >= 1")
+    if args.jobs < 1:
+        raise UsageError("--jobs must be >= 1")
     if not args.kernels:
         raise UsageError("need at least one kernel")
     _check_distinct("--kernels", [k.value for k in args.kernels])
@@ -487,7 +489,7 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)  # a rejected input
         return 2
-    except BlockGibbsError as exc:
+    except (BlockGibbsError, MemoryError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -25,15 +25,12 @@ data shape:
 
 * dense update (every model when p <= n, the fused lasso at any p): the
   p x p posterior precision A = X^T X + Q = L L^T, with Q the prior
-  precision. Both scales are S(v) = ||y - X v||^2 + v^T Q v, at the mean
-  m = A^-1 X^T y (two-block) or the incoming beta (three-block). The
-  three-block scale is that sum of squares; when n > p it costs O(p^2),
+  precision. Both scales are 0.5 S(v) + xi for the one sum of squares
+  S(v) = ||y - X v||^2 + v^T Q v, taken at the mean m = A^-1 X^T y
+  (two-block) or at the incoming beta (three-block), so the two kernels do
+  the same work per iteration. When n > p, S(v) costs O(p^2):
   ||y - X v||^2 = ||R [v; -1]||^2 for the triangular factor R of
-  [X y] = Q_xy R taken once per chain, in place of an O(np) residual. The
-  two-block scale uses S(m) = y^T y - u^T u, u = L^-1 X^T y, while it is
-  at least 2^-10 times y^T y + m^T diag(A) m (it has then lost at most ten
-  bits to cancellation or to the conditioning of A), and the same sum of
-  squares otherwise;
+  [X y] = Q_xy R taken once per chain, in place of an O(np) residual;
 * n-space update (group and sparse group lasso when p > n, where Q is
   diagonal with D = Q^-1): the n x n matrix I + X D X^T, following
   Bhattacharya, Chakraborty & Mallick (2016, Biometrika 103(4)). The
@@ -196,7 +193,10 @@ class _DiagonalPrior:
         self.diag = diag if len(scales) == 1 else diag + scales[1]
 
     def quad_form(self, beta) -> float:
-        return float(self.diag @ (beta * beta))
+        q = float(self.diag @ (beta * beta))
+        if q != q:  # an infinite precision times a coefficient held at 0
+            q = float(np.where(beta != 0.0, self.diag, 0.0) @ (beta * beta))
+        return q
 
 
 class _FusedPrior:
@@ -218,7 +218,11 @@ class _FusedPrior:
         self.diag, self.off = _kernels.fused_bands(scales[0], scales[1])
 
     def quad_form(self, beta) -> float:
-        return _kernels.tridiag_quad_form(self.diag, self.off, beta)
+        q = _kernels.tridiag_quad_form(self.diag, self.off, beta)
+        if q != q:  # an infinite precision times a coefficient held at 0
+            q = _kernels.tridiag_quad_form(np.where(beta != 0.0, self.diag, 0.0),
+                                           self.off, beta)
+        return q
 
 
 def _chain_prior(spec: ModelSpec):
@@ -228,7 +232,9 @@ def _chain_prior(spec: ModelSpec):
     incoming (beta, sigma2) in the draw-order contract's order, sets Q from
     them and returns them; `set_scales(scales)` sets Q from given reciprocal
     scales. Q is held as its diagonal `diag` and its off-diagonal band `off`
-    (None for a diagonal Q), and `quad_form(beta)` gives beta^T Q beta.
+    (None for a diagonal Q), and `quad_form(beta)` gives beta^T Q beta, in
+    which an infinite diagonal entry times a coefficient that the factor
+    holds at exactly 0 counts as 0.
     """
     if spec.kind is ModelKind.FUSED_LASSO:
         return _FusedPrior(spec)
@@ -264,12 +270,6 @@ def _sum_of_squares(x, y):
         return float(resid @ resid) + prior.quad_form(v)
 
     return sum_sq
-
-
-# the bits the two-block difference S(m) = y^T y - u^T u may lose before it
-# is recomputed as a sum of squares (see the module docstring)
-_GUARD_BITS = 10
-_GUARD = 2.0 ** -_GUARD_BITS
 
 
 def _checked_scale(scale: float) -> float:
@@ -321,34 +321,25 @@ def _dense_block_sampler(spec: ModelSpec, dataset: Dataset, kernel: KernelKind):
     into the scratch array, where each iteration assembles the posterior
     precision and LAPACK factors it in place, is one contiguous copy.
 
-    The scales are those of the module docstring. The mean m = L^-T u is
-    computed before the gamma draw; it consumes no random numbers.
+    Both scales are 0.5 S(v) + xi, at v = m = A^-1 X^T y (two-block) or at
+    the incoming beta (three-block); the kernels differ only there and in
+    the gamma shape. The mean is computed before the gamma draw; it
+    consumes no random numbers.
     """
     two_block = kernel is KernelKind.TWO_BLOCK
     shape = _gamma_shape(spec, dataset, two_block)
     xi = spec.xi
     x, y = dataset.x, dataset.y
     gram = np.asfortranarray(x.T @ x)
-    gram_diag = gram.diagonal().copy()
-    xty, yty = x.T @ y, float(y @ y)
+    xty = x.T @ y
     sum_sq = _sum_of_squares(x, y)
     a = np.empty_like(gram, order="F")
 
     def draw(beta, prior, gen):
         chol = cholesky_spd(add_prior_precision(gram, prior.diag, prior.off, out=a),
                             "posterior precision", overwrite=True)
-        u = solve_lower(chol, xty)
-        mean = solve_lower_t(chol, u)
-        if two_block:
-            s = yty - float(u @ u)
-            # the O(p) term is formed only where the test on y^T y passes; a
-            # nan bound (an infinite prior precision, whose coefficient the
-            # factor holds at exactly zero) keeps the difference
-            if (s < _GUARD * yty
-                    or s < _GUARD * (yty + float(((gram_diag + prior.diag) * mean) @ mean))):
-                s = sum_sq(mean, prior)
-        else:
-            s = sum_sq(beta, prior)
+        mean = solve_lower_t(chol, solve_lower(chol, xty))
+        s = sum_sq(mean if two_block else beta, prior)
         sigma2 = _checked_scale(0.5 * s + xi) / gen.gamma(shape)
         return _beta_from_mean(chol, mean, sigma2, gen), float(sigma2)
 

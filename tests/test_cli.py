@@ -347,6 +347,8 @@ def test_run_non_finite_hyperparameters_exit_2(capsys, flags):
     ["--alpha", "-1"],
     ["--model", "sparse-group-lasso", "--lambda2", "inf"],
     ["--model", "fused-lasso", "--scenario", "s2", "--p", "10", "--lambda1", "nan"],
+    ["--jobs", "0"],
+    ["--jobs", "-5"],
 ])
 def test_bench_bad_hyperparameters_exit_2_before_any_job(tmp_path, monkeypatch,
                                                          capsys, flags):
@@ -511,6 +513,17 @@ def test_run_maps_library_errors_to_exit_codes(monkeypatch, capsys, exc, code):
     assert main(RUN_S1) == code
     err = capsys.readouterr().err
     assert str(exc) in err and "Traceback" not in err
+
+
+def test_run_too_many_iterations_to_store_exits_3(capsys):
+    # the draw arrays of 10^18 iterations cannot be allocated: a runtime
+    # failure, reported without a traceback
+    code = main(["run", "--model", "group-lasso", "--kernel", "2bg",
+                 "--scenario", "s1", "--n", "20", "--K", "1", "--lambda", "1",
+                 "--iters", "1000000000000000000"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: ") and "Traceback" not in err
 
 
 def test_run_writes_draws(tmp_path):

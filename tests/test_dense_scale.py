@@ -1,14 +1,10 @@
 """The dense block update's residual-variance scales against rational references.
 
-Both kernels' scales come from S(v) = ||y - X v||^2 + v^T Q v. With
-A = X^T X + Q = L L^T and u = L^-1 X^T y:
-
-* two-block: 0.5 S(m) + xi at the mean m = A^-1 X^T y, with S(m) taken as
-  y^T y - u^T u, or as the sum of squares where the guard finds that
-  difference too close to its rounding error;
-* three-block: 0.5 S(beta) + xi for the incoming beta, the sum of squares
-  ||R [beta; -1]||^2 + beta^T Q beta for R the triangular factor of [X y]
-  (n > p), or from the residual itself (n <= p).
+Both kernels' scales are 0.5 S(v) + xi for the one sum of squares
+S(v) = ||y - X v||^2 + v^T Q v, taken at the mean m = A^-1 X^T y
+(two-block) or at the incoming beta (three-block), with A = X^T X + Q.
+S(v) is ||R [v; -1]||^2 + v^T Q v for R the triangular factor of [X y]
+(n > p), or comes from the residual itself (n <= p).
 
 S(beta) = S(m) + (beta - m)^T A (beta - m) ties the two together. The
 references are computed exactly in `fractions.Fraction` arithmetic from the
@@ -23,7 +19,7 @@ from hypothesis import strategies as st
 
 from blockgibbs import Dataset, GroupStructure, KernelKind, ModelSpec, samplers
 from blockgibbs._linalg import mul_upper, qr_r
-from block_stubs import BasisGenerator, block_draw, fixed_prior, to_dense
+from block_stubs import block_draw, fixed_prior, to_dense
 
 TWO, THREE = KernelKind.TWO_BLOCK, KernelKind.THREE_BLOCK
 
@@ -150,31 +146,9 @@ def test_both_scales_follow_the_identity(seed, n, p, model):
     assert rel_err(three, exact.s(beta) / 2 + xi) < 1e-13
 
 
-@pytest.mark.parametrize("side", [-1, 1], ids=["sum_of_squares", "difference"])
-@pytest.mark.parametrize("p", [3, 8])
-def test_guarded_scale_on_both_sides_of_the_boundary(monkeypatch, p, side):
-    # X = I and Q = c I: S(m) = y^T y c / (1 + c), diag(A) = 1 + c and
-    # m = y / (1 + c), so S(m) / (y^T y + m^T diag(A) m) = c / (2 + c) = r
-    # is put just below and just above the guard's 2^-k
-    r = 2.0 ** -samplers._GUARD_BITS * (1.0 + side * 1e-3)
-    c = 2.0 * r / (1.0 - r)
-    y = np.random.default_rng(p).standard_normal(p)
-    ds = Dataset(y=y, x=np.eye(p))
-    spec = ModelSpec.group_lasso(1.0, GroupStructure(np.ones(p, dtype=np.int64)))
-    prior = fixed_prior(spec, np.full(p, c))
-    quad_forms = []
-    monkeypatch.setattr(prior, "quad_form",
-                        lambda b, real=prior.quad_form: quad_forms.append(1) or real(b))
-    draw = samplers._dense_block_sampler(spec, ds, TWO)
-    _, scale = draw(np.zeros(p), prior, BasisGenerator())
-    assert len(quad_forms) == (1 if side < 0 else 0)
-    exact = Exact(ds.x, ds.y, np.diag(prior.diag))
-    assert rel_err(scale, exact.s_mean / 2) < 1e-12
-
-
 # Square or nearly square designs whose prior precision goes down to 1e-10:
-# the fit nears interpolation, where y^T y - u^T u cancels, and A inherits
-# the conditioning of X^T X
+# the fit nears interpolation, where the difference y^T y - u^T u (u = L^-1
+# X^T y) would cancel, and A inherits the conditioning of X^T X
 @st.composite
 def near_singular(draw):
     p = draw(st.integers(2, 6))

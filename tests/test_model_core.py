@@ -131,15 +131,23 @@ def test_group_cov_two_groups_of_five():
     assert d[5:].tolist() == [2.0] * 5
 
 
-def test_degenerate_scale_pins_its_coefficients_at_zero():
-    # 1 / 1e-310 overflows to an infinite prior precision, whose exact limit
-    # holds the group's coefficients at zero
-    spec = ModelSpec.group_lasso(1.0, groups_of(1, 1))
+@pytest.mark.parametrize("model", ["group", "fused"])
+@pytest.mark.parametrize("kernel", list(KernelKind), ids=lambda k: k.value)
+def test_degenerate_scale_pins_its_coefficients_at_zero(kernel, model):
+    # 1 / 1e-310 overflows to an infinite prior precision (on the first
+    # group's tau^2, or the fused lasso's tau_1^2 with every omega finite),
+    # whose exact limit holds the first coefficient at zero; the residual
+    # variance scale counts its inf * 0 in beta^T Q beta as 0
     ds = Dataset(y=np.arange(1.0, 5.0), x=np.eye(4, 2) + 0.5)
     with np.errstate(over="ignore"):
         inv_tau2 = 1.0 / np.array([1e-310, 1.0])
-    sigma2_draws, beta_draws = frozen_scale_draws(spec, ds, KernelKind.TWO_BLOCK,
-                                                  (inv_tau2,), n_iter=5, seed=0)
+    if model == "group":
+        spec, inv_scales = ModelSpec.group_lasso(1.0, groups_of(1, 1)), (inv_tau2,)
+    else:
+        spec, inv_scales = ModelSpec.fused_lasso(1.0, 1.0), (inv_tau2, np.ones(1))
+    sigma2_draws, beta_draws = frozen_scale_draws(spec, ds, kernel, inv_scales,
+                                                  n_iter=5, seed=0)
+    assert np.all(np.isfinite(sigma2_draws))
     assert np.all(beta_draws[:, 0] == 0.0)
     assert np.all(beta_draws[:, 1] != 0.0) and np.all(sigma2_draws > 0.0)
 

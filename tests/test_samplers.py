@@ -416,7 +416,7 @@ def test_float_error_state_restored_after_failed_chain(monkeypatch):
         assert np.geterr() == before
 
 
-# the layer calls one dense three-block iteration makes, per model: the names
+# the layer calls one dense iteration makes, per model: the names
 # the benchmark's traced spans wrap, each looked up on its module at call time
 LAYER_CALLS = {
     "group": {"group_sqnorms": 1, "expand_by_group": 1, "fused_bands": 0,
@@ -468,30 +468,23 @@ def per_iteration(counts):
     return {name: count * LAYER_ITERS for name, count in counts.items() if count}
 
 
-@pytest.mark.parametrize("model", list(LAYER_CALLS))
-def test_layer_calls_are_looked_up_at_call_time_and_never_nest(monkeypatch, model):
+# (model, kernel) cases; the three-block ones are named by the model alone
+LAYER_CASES = [pytest.param(model, kernel, id=model if kernel is THREE
+                            else f"{model}-{kernel.value}")
+               for kernel in (THREE, TWO) for model in LAYER_CALLS]
+
+
+@pytest.mark.parametrize("model,kernel", LAYER_CASES)
+def test_layer_calls_are_looked_up_at_call_time_and_never_nest(monkeypatch, model,
+                                                               kernel):
     # wrappers set on the modules after import see every call: a helper bound
     # earlier, by an import of the name or a class attribute, would escape
-    # the benchmark's traced spans and make them read 0 without failing
-    calls, nested = layer_calls(monkeypatch, model, THREE)
+    # the benchmark's traced spans and make them read 0 without failing; both
+    # kernels make the same calls, the two-block one taking its sum of
+    # squares at the mean
+    calls, nested = layer_calls(monkeypatch, model, kernel)
     assert nested == []
     assert calls == per_iteration({**LAYER_CALLS[model], **SAMPLER_CALLS})
-
-
-@pytest.mark.parametrize("guard", ["kept", "fired"])
-@pytest.mark.parametrize("model", list(LAYER_CALLS))
-def test_two_block_layer_calls_follow_the_scale_guard(monkeypatch, model, guard):
-    # the two-block scale makes the three-block scale's sum of squares, its
-    # triangular product and beta^T Q beta (the fused lasso's
-    # tridiag_quad_form), only where its guard recomputes S(m)
-    if guard == "fired":
-        monkeypatch.setattr(samplers, "_GUARD", math.inf)
-    calls, nested = layer_calls(monkeypatch, model, TWO)
-    counts = {**LAYER_CALLS[model], **SAMPLER_CALLS}
-    if guard == "kept":
-        counts.update(tridiag_quad_form=0, mul_upper=0)
-    assert nested == []
-    assert calls == per_iteration(counts)
 
 
 # ---------------------------------------------------------------------------
