@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -20,7 +21,7 @@ import numpy as np
 from ._linalg import blas_libraries
 from .diagnostics import MIN_ESS_DRAWS, diagnose
 from .errors import BlockGibbsError
-from .model_core import Dataset, GroupStructure, ModelKind, ModelSpec
+from .model_core import Dataset, GroupStructure, ModelKind, ModelSpec, check_penalty
 from .rng_dist import RngStream
 from .samplers import ChainOutput, KernelKind, RunConfig, map_jobs, run_chain
 from .simgen import Scenario, ScenarioSpec, SimulatedDataset
@@ -219,16 +220,26 @@ def _resolve_model(args, groups: GroupStructure | None) -> ModelSpec:
     if missing:
         raise UsageError(f"{kind.value} requires {' and '.join(missing)}")
     for name in kind.penalties:
-        value = getattr(args, name)
-        if not (value > 0 and math.isfinite(value)):
-            raise UsageError(f"{_PENALTY_FLAGS[name]} must be > 0 and finite, "
-                             f"got {value}")
+        check_penalty(_PENALTY_FLAGS[name], getattr(args, name))
     if kind.grouped and groups is None:
         raise UsageError(f"{kind.value} requires group sizes: --groups with "
                          f"--data, or a grouped scenario (s1, wide or tall)")
     return ModelSpec(kind, args.alpha, args.xi,
                      groups=groups if kind.grouped else None,
                      **{name: getattr(args, name) for name in kind.penalties})
+
+
+def _check_separate_files(args, flags: tuple[str, ...]) -> None:
+    """Reject two path flags that name one file: one write would replace the other."""
+    seen: dict[str, str] = {}
+    for flag in flags:
+        path = getattr(args, flag[2:].replace("-", "_"))
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in seen:
+            raise UsageError(f"{seen[real]} and {flag} name the same file: {path}")
+        seen[real] = flag
 
 
 def _check_distinct(flag: str, values) -> None:
@@ -297,6 +308,7 @@ def _cmd_run(args) -> int:
              if getattr(args, name) is not None]
     if given:
         raise UsageError(f"{' and '.join(given)} cannot be used with {source}")
+    _check_separate_files(args, ("--data", "--report", "--draws"))
     config = _resolve_run_config(args, store_beta=args.store_beta)
     if args.data is not None:
         dataset, groups = read_dataset_csv(args.data, args.y_col or 0, args.groups)
@@ -373,6 +385,11 @@ AGG_COLUMNS = ["model", "kernel", "n", "p", "reps_ok", "rho1_mean", "rho1_se",
                "log10_ess_per_sec_mean", "log10_ess_per_sec_se"]
 
 
+# the last spawn key of each kernel's chain seed (0 is the dataset's), so a
+# kernel's seed does not depend on which other kernels --kernels lists
+_CHAIN_KEYS = {KernelKind.TWO_BLOCK: 1, KernelKind.THREE_BLOCK: 2}
+
+
 def _derive_seed(*entropy: int) -> int:
     seq = np.random.SeedSequence([int(e) for e in entropy])
     return int(seq.generate_state(1, np.uint64)[0])
@@ -386,8 +403,8 @@ def _run_bench_job(job: tuple[BenchGrid, int, int]) -> list[BenchRow]:
     data_seed = _derive_seed(grid_seed, cell_index, rep, 0)
     sim = ScenarioSpec(grid.scenario, cell.n, cell.p, seed=data_seed).generate()
     rows = []
-    for k_idx, kernel in enumerate(grid.kernels):
-        chain_seed = _derive_seed(grid_seed, cell_index, rep, 1 + k_idx)
+    for kernel in grid.kernels:
+        chain_seed = _derive_seed(grid_seed, cell_index, rep, _CHAIN_KEYS[kernel])
         base = dict(model=model.kind.value, kernel=kernel.value,
                     scenario=grid.scenario.value, n=cell.n, p=cell.p, rep=rep,
                     seed=chain_seed)
@@ -467,6 +484,7 @@ def _write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
 
 
 def _cmd_bench(args) -> int:
+    _check_separate_files(args, ("--out-raw", "--out-agg"))
     rows, agg = run_bench(args)
     _write_csv(args.out_raw, RAW_COLUMNS, [r.to_csv_dict() for r in rows])
     _write_csv(args.out_agg, AGG_COLUMNS, agg)

@@ -3,14 +3,14 @@
 Autocorrelations use the biased (divide by N) covariance denominator, which
 keeps the autocovariance sequence positive definite for the truncation rule.
 The effective sample size uses Geyer's initial monotone positive sequence
-over even-lag pairs and is clamped to (0, N].
+(Geyer 1992, Statistical Science 7(4)) over even-lag pairs and is clamped
+to (0, N]. `diagnose` reads rho_1 and the ESS from one pass of numpy's FFT.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .samplers import ChainOutput
 
@@ -29,36 +29,43 @@ __all__ = [
 MIN_ESS_DRAWS = 100
 
 
-def _autocovariances(series: np.ndarray) -> np.ndarray:
-    """All-lag autocovariances with the 1/N denominator, via FFT."""
-    x = np.asarray(series, dtype=np.float64)
+def _autocovariances(x: np.ndarray) -> np.ndarray:
+    """All-lag autocovariances with the 1/N denominator, via FFT at length 2N."""
     n = x.shape[0]
-    x = x - x.mean()
-    m = scipy.fft.next_fast_len(2 * n)
-    f = scipy.fft.rfft(x, m)
-    acov = scipy.fft.irfft(f * np.conj(f), m)[:n].real
-    return acov / n
+    f = np.fft.rfft(x - x.mean(), 2 * n)
+    return np.fft.irfft(f * np.conj(f), 2 * n)[:n] / n
 
 
-def _checked_series(series, min_len: int) -> np.ndarray:
+def _autocorrelations(series, min_len: int, what: str) -> np.ndarray:
+    """All N autocorrelations of a checked series; `what` names the metric."""
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("series must be 1-D")
     if x.shape[0] < min_len:
         raise ValueError(f"series too short: need at least {min_len} values, "
                          f"got {x.shape[0]}")
-    return x
+    acov = _autocovariances(x)
+    if acov[0] <= 0.0:
+        raise ValueError(f"zero variance: {what} undefined for a constant series")
+    return acov / acov[0]
+
+
+def _ess(rho: np.ndarray) -> float:
+    """N / (1 + 2 sum rho_k) under Geyer's truncation, from all N autocorrelations."""
+    n = rho.shape[0]
+    n_pairs = n // 2
+    pair = rho[0:2 * n_pairs:2] + rho[1:2 * n_pairs:2]
+    nonpos = np.nonzero(pair <= 0.0)[0]
+    keep = int(nonpos[0]) if nonpos.size else n_pairs
+    iact = 2.0 * float(np.minimum.accumulate(pair[:keep]).sum()) - 1.0
+    return n / max(iact, 1.0)
 
 
 def autocorr(series, lag: int) -> float:
     """Sample autocorrelation at the given lag (mean-centered, biased denominator)."""
     if lag < 0:
         raise ValueError("lag must be non-negative")
-    x = _checked_series(series, lag + 2)
-    acov = _autocovariances(x)
-    if acov[0] <= 0.0:
-        raise ValueError("zero variance: autocorrelation undefined for a constant series")
-    return float(acov[lag] / acov[0])
+    return float(_autocorrelations(series, lag + 2, "autocorrelation")[lag])
 
 
 def ess_univariate(series) -> float:
@@ -68,18 +75,7 @@ def ess_univariate(series) -> float:
     keep the initial run of positive pairs, force the kept run to be
     non-increasing, and stop there. The result is clamped to (0, N].
     """
-    x = _checked_series(series, MIN_ESS_DRAWS)
-    n = x.shape[0]
-    acov = _autocovariances(x)
-    if acov[0] <= 0.0:
-        raise ValueError("zero variance: ESS undefined for a constant series")
-    rho = acov / acov[0]
-    n_pairs = n // 2
-    pair = rho[0:2 * n_pairs:2] + rho[1:2 * n_pairs:2]
-    nonpos = np.nonzero(pair <= 0.0)[0]
-    keep = int(nonpos[0]) if nonpos.size else n_pairs
-    iact = 2.0 * float(np.minimum.accumulate(pair[:keep]).sum()) - 1.0
-    return n / max(iact, 1.0)
+    return _ess(_autocorrelations(series, MIN_ESS_DRAWS, "ESS"))
 
 
 def ess_per_second(ess: float, wall_time_seconds: float) -> float:
@@ -128,9 +124,10 @@ class DiagnosticsReport:
 def diagnose(output: ChainOutput) -> DiagnosticsReport:
     """Diagnostics of a finished chain's sigma2 draws."""
     draws = output.sigma2_draws
-    ess = ess_univariate(draws)
+    rho = _autocorrelations(draws, MIN_ESS_DRAWS, "ESS")
+    ess = _ess(rho)
     return DiagnosticsReport(
-        rho1=autocorr(draws, 1),
+        rho1=float(rho[1]),
         ess=ess,
         ess_per_second=ess_per_second(ess, output.wall_time_seconds),
         sigma2=summarize(draws),

@@ -53,6 +53,9 @@ class Dataset:
         if y.shape[0] != x.shape[0]:
             raise DimensionMismatchError("response length vs design rows",
                                          x.shape[0], y.shape[0])
+        for dim, size in (("n", x.shape[0]), ("p", x.shape[1])):
+            if size < 1:
+                raise ValueError(f"dataset needs {dim} >= 1, got {dim}={size}")
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
             raise ValueError("dataset contains non-finite entries")
         object.__setattr__(self, "y", y)
@@ -100,6 +103,17 @@ class GroupStructure:
                                          p, self.total_size)
 
 
+def check_penalty(name: str, value: float | None) -> None:
+    """The penalty rule: > 0, finite, and a square > 0 (the samplers use lam * lam).
+
+    Raises ValueError naming `name`, a `ModelSpec` field or a CLI flag.
+    """
+    if value is None or not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be > 0 and finite, got {value}")
+    if not value * value > 0:
+        raise ValueError(f"{name} squared underflows to 0, got {value}")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Which shrinkage prior to use, plus its hyperparameters.
@@ -124,9 +138,7 @@ class ModelSpec:
             raise ValueError(f"alpha and xi must be finite and non-negative, "
                              f"got alpha={self.alpha}, xi={self.xi}")
         for name in self.kind.penalties:
-            value = getattr(self, name)
-            if value is None or not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be > 0 and finite, got {value}")
+            check_penalty(name, getattr(self, name))
         if self.kind.grouped and self.groups is None:
             raise ValueError(f"{self.kind.value} requires a GroupStructure")
 

@@ -304,6 +304,8 @@ def sample_mvn_precision(b: np.ndarray, precision: np.ndarray, sigma2: float,
         raise DimensionMismatchError("precision dimensions", 2, precision.ndim)
     if precision.shape[0] != precision.shape[1]:
         raise DimensionMismatchError("precision columns vs rows", *precision.shape)
+    if precision.shape[0] < 1:
+        raise DimensionMismatchError("precision order (at least 1)", 1, 0)
     if b.shape != precision.shape[:1]:
         raise DimensionMismatchError("b length vs precision order",
                                      precision.shape[0], b.size)

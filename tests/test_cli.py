@@ -293,6 +293,33 @@ def test_missing_penalty_names_field_and_flag(tmp_path, monkeypatch, capsys,
         assert not raw.exists()
 
 
+@pytest.mark.parametrize("kind,name", [(kind, name) for kind in ModelKind
+                                       for name in kind.penalties])
+def test_penalty_whose_square_underflows_exits_2(tmp_path, monkeypatch, capsys,
+                                                 kind, name):
+    # 1e-300 squares to 0 and is rejected by its flag before any chain runs;
+    # 1e-160 squares to a subnormal > 0 and runs
+    def flags(value):
+        return [f"{PENALTY_FLAGS[field]}={value if field == name else 1}"
+                for field in kind.penalties]
+
+    run = ["run", "--model", kind.value, "--kernel", "2bg", "--scenario", "s1",
+           "--n", "20", "--K", "1", "--iters", "200", "--burnin", "50"]
+    argv, raw, _ = bench_args(tmp_path, "u")
+    argv[argv.index("--model") + 1] = kind.value
+    real_chain = cli.run_chain
+    monkeypatch.setattr(cli, "run_chain", lambda *args, **kw: pytest.fail("a chain ran"))
+    monkeypatch.setattr(cli, "map_jobs", lambda *args, **kw: pytest.fail("a job ran"))
+    assert main(run + flags(1e-300)) == 2
+    assert main(argv + flags(1e-300)) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: {PENALTY_FLAGS[name]} squared underflows to 0, "
+                     f"got 1e-300"] * 2
+    assert not raw.exists()
+    monkeypatch.setattr(cli, "run_chain", real_chain)
+    assert main(run + flags(1e-160)) == 0
+
+
 def test_run_requires_exactly_one_data_source(tmp_path, capsys):
     base = ["run", "--model", "fused-lasso", "--kernel", "2bg",
             "--lambda1", "1", "--lambda2", "1"]
@@ -631,6 +658,55 @@ def test_bench_parallel_jobs_match_serial(tmp_path):
     rows1 = [{k: v for k, v in r.items() if k not in drop} for r in read_rows(raw1)]
     rows2 = [{k: v for k, v in r.items() if k not in drop} for r in read_rows(raw2)]
     assert rows1 == rows2
+
+
+def test_bench_chain_seed_depends_only_on_the_kernel(tmp_path):
+    # each kernel's rows are the same whichever other kernels --kernels lists
+    # and in whatever order
+    keep = ("model", "kernel", "n", "p", "rep", "seed", "rho1", "ess")
+    by_kernel = {}
+    for tag, kernels in (("all", None), ("3", "3bg"), ("32", "3bg,2bg")):
+        argv, raw, _ = bench_args(tmp_path, tag)
+        argv[argv.index("--reps") + 1] = "2"
+        if kernels is not None:
+            argv += ["--kernels", kernels]
+        assert main(argv) == 0
+        for row in read_rows(raw):
+            by_kernel.setdefault((tag, row["kernel"]), []).append(
+                {k: row[k] for k in keep})
+    assert by_kernel["3", "3bg"] == by_kernel["all", "3bg"]
+    assert by_kernel["32", "3bg"] == by_kernel["all", "3bg"]
+    assert by_kernel["32", "2bg"] == by_kernel["all", "2bg"]
+    assert by_kernel["all", "2bg"][0]["seed"] != by_kernel["all", "3bg"][0]["seed"]
+
+
+@pytest.mark.parametrize("case", ["bench", "report-draws", "data-draws"])
+def test_output_path_naming_another_files_path_exits_2(tmp_path, monkeypatch,
+                                                        capsys, case):
+    # two flags naming one file (also through another spelling of its path)
+    # exit 2 before any chain runs, and leave every file as it was
+    monkeypatch.setattr(cli, "run_chain", lambda *args, **kw: pytest.fail("a chain ran"))
+    monkeypatch.setattr(cli, "map_jobs", lambda *args, **kw: pytest.fail("a job ran"))
+    (tmp_path / "sub").mkdir()
+    target = tmp_path / "f.csv"
+    other = str(tmp_path / "sub" / ".." / "f.csv")
+    run = ["run", "--model", "group-lasso", "--kernel", "2bg", "--lambda", "1"]
+    s1 = ["--scenario", "s1", "--n", "20", "--K", "1"]
+    if case == "bench":
+        flags = "--out-raw and --out-agg"
+        argv = ["bench", "--model", "group-lasso", *s1, "--reps", "1",
+                "--out-raw", str(target), "--out-agg", other]
+    elif case == "report-draws":
+        flags = "--report and --draws"
+        argv = run + s1 + ["--report", str(target), "--draws", other]
+    else:
+        flags = "--data and --draws"
+        write_lines(target, ["1,2", "2,1", "3,4"])
+        argv = run + ["--data", str(target), "--groups", "1", "--draws", other]
+    before = target.read_bytes() if target.exists() else None
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {flags} name the same file: {other}\n"
+    assert (target.read_bytes() if target.exists() else None) == before
 
 
 def test_bench_records_failures_and_exit_code(tmp_path, monkeypatch):

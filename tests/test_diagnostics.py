@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.signal import lfilter
 
 from blockgibbs import (
@@ -17,7 +22,10 @@ from blockgibbs import (
     run_chain,
     summarize,
 )
+from blockgibbs import diagnostics
 from blockgibbs.diagnostics import _autocovariances
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def ar1(phi: float, n: int, seed: int) -> np.ndarray:
@@ -97,6 +105,36 @@ def test_rho1_matches_ess_internal_term():
     assert autocorr(x, 1) == acov[1] / acov[0]
 
 
+def scipy_autocovariances(x):
+    # the padded scipy.fft reference: next_fast_len(2N) points
+    n = x.shape[0]
+    m = scipy.fft.next_fast_len(2 * n)
+    f = scipy.fft.rfft(x - x.mean(), m)
+    return scipy.fft.irfft(f * np.conj(f), m)[:n] / n
+
+
+@pytest.mark.parametrize("n", [900, 1_000, 9_000, 901, 9_001])
+def test_autocovariances_match_a_scipy_fft_reference(n):
+    # 2N with no prime factor above 11 takes the same transform in numpy as
+    # in scipy, bit for bit; other lengths agree to rounding
+    x = ar1(0.6, n, seed=n) + 3.0
+    acov, ref = _autocovariances(x), scipy_autocovariances(x)
+    if n % 10 == 0:
+        assert acov.tobytes() == ref.tobytes()
+    else:
+        assert np.max(np.abs(acov - ref)) <= 1e-15 * ref[0]
+
+
+def test_import_leaves_scipy_fft_unloaded():
+    # scipy is only the LAPACK/BLAS layer; the FFT is numpy's
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = ("import sys, blockgibbs; print(sorted(m for m in sys.modules "
+            "if m in ('scipy.fft', 'scipy.special')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_ess_per_second_values():
     assert ess_per_second(900.0, 2.0) == 450.0
     assert ess_per_second(1.0, 1e-3) == pytest.approx(1000.0)
@@ -134,3 +172,25 @@ def test_diagnose_builds_full_report():
     assert 0.0 < rep.ess <= out.sigma2_draws.size
     assert rep.ess_per_second > 0.0
     assert rep.sigma2.q025 <= rep.sigma2.median <= rep.sigma2.q975
+
+
+def test_diagnose_makes_one_fft_pass(monkeypatch):
+    # rho1 and the ESS come from one autocovariance pass, and equal what
+    # autocorr and ess_univariate give on their own
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((15, 2))
+    ds = Dataset(y=x @ np.array([0.5, 1.0]) + rng.standard_normal(15), x=x)
+    spec = ModelSpec.fused_lasso(1.0, 1.0)
+    out = run_chain(KernelKind.THREE_BLOCK, spec, ds,
+                    RunConfig(n_iter=400, burn_in=50, seed=2))
+    passes = []
+
+    def counted(series):
+        passes.append(len(series))
+        return _autocovariances(series)
+
+    monkeypatch.setattr(diagnostics, "_autocovariances", counted)
+    rep = diagnose(out)
+    assert passes == [out.sigma2_draws.size]
+    assert rep.rho1 == autocorr(out.sigma2_draws, 1)
+    assert rep.ess == ess_univariate(out.sigma2_draws)

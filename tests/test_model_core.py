@@ -37,6 +37,12 @@ def test_dataset_validates_dimensions():
         Dataset(y=np.ones(2), x=np.ones((3, 2)))
 
 
+@pytest.mark.parametrize("n,p,dim", [(0, 3, "n"), (4, 0, "p"), (0, 0, "n")])
+def test_dataset_requires_a_row_and_a_column(n, p, dim):
+    with pytest.raises(ValueError, match=f"dataset needs {dim} >= 1, got {dim}=0"):
+        Dataset(y=np.empty(n), x=np.empty((n, p)))
+
+
 def test_dataset_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
         Dataset(y=np.array([1.0, np.nan]), x=np.ones((2, 1)))
@@ -74,6 +80,22 @@ def test_model_spec_requires_penalties():
         ModelSpec.fused_lasso(1.0, 0.0)
     with pytest.raises(ValueError, match="non-negative"):
         ModelSpec.fused_lasso(1.0, 1.0, alpha=-0.5)
+
+
+def make_spec(kind, **penalties):
+    groups = groups_of(2, 1) if kind.grouped else None
+    values = {name: 1.0 for name in kind.penalties}
+    return ModelSpec(kind, groups=groups, **{**values, **penalties})
+
+
+@pytest.mark.parametrize("kind,name", [(kind, name) for kind in ModelKind
+                                       for name in kind.penalties])
+def test_model_spec_rejects_a_penalty_whose_square_underflows(kind, name):
+    # the samplers use the penalty's square: 1e-300 squares to 0, while
+    # 1e-160 squares to a subnormal that is still > 0
+    with pytest.raises(ValueError, match=f"^{name} squared underflows to 0, got 1e-300"):
+        make_spec(kind, **{name: 1e-300})
+    assert getattr(make_spec(kind, **{name: 1e-160}), name) == 1e-160
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -163,6 +163,11 @@ def test_run_chain_rejects_initial_beta_of_wrong_length(length):
         run_chain(TWO, spec, ds, RunConfig(n_iter=5, burn_in=0), initial_state=state)
 
 
+def test_sample_mvn_precision_rejects_order_zero():
+    with pytest.raises(DimensionMismatchError, match="precision order"):
+        samplers.sample_mvn_precision(np.empty(0), np.empty((0, 0)), 1.0, RngStream(0))
+
+
 def test_sampler_error_carries_iteration_index():
     # zero response with xi = 0 makes the marginal scale non-positive
     ds = Dataset(y=np.zeros(4), x=np.zeros((4, 1)))
