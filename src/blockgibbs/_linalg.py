@@ -39,7 +39,7 @@ from .errors import FactorizationError
 
 _f64 = np.empty(0, dtype=np.float64)
 _potrf, _tpqrt = get_lapack_funcs(("potrf", "tpqrt"), (_f64,))
-_trsv, _trmv, _syrk = get_blas_funcs(("trsv", "trmv", "syrk"), (_f64,))
+_trsv, _syrk = get_blas_funcs(("trsv", "syrk"), (_f64,))
 
 _factorizations = 0
 
@@ -87,11 +87,6 @@ def solve_lower(chol_lower: np.ndarray, b: np.ndarray) -> np.ndarray:
 def solve_lower_t(chol_lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve L^T x = b for lower-triangular L and a vector b."""
     return _trsv(chol_lower, b, lower=1, trans=1)
-
-
-def mul_upper(r: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """R x for upper-triangular R and a vector x; only the upper triangle is read."""
-    return _trmv(r, x)
 
 
 # rows of [x y] per block: the one copy of the data `qr_r` makes (256 KB at p = 250)

@@ -1,6 +1,7 @@
 """Command-line front end: single runs, benchmark grids, CSV/JSON output.
 
-Exit codes: 0 success, 2 usage or validation problem, 3 runtime failure.
+Exit codes: 0 success, 2 usage or validation problem, 3 runtime failure
+(an unopenable output too: outputs are opened before the first chain).
 Raw benchmark CSVs carry 17 significant digits (round-trippable); aggregate
 tables carry 4. All seeds are derived from the master seed with fixed spawn
 keys, so repeated invocations reproduce every draw-dependent number exactly
@@ -9,6 +10,7 @@ keys, so repeated invocations reproduce every draw-dependent number exactly
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -242,6 +244,12 @@ def _check_separate_files(args, flags: tuple[str, ...]) -> None:
         seen[real] = flag
 
 
+def _open_outputs(stack: contextlib.ExitStack, *paths: str | None) -> list:
+    """Open each given output path for writing (None stays None) on `stack`."""
+    return [None if path is None else stack.enter_context(open(path, "w", newline=""))
+            for path in paths]
+
+
 def _check_distinct(flag: str, values) -> None:
     """Reject a list flag that repeats an entry (its cells would be pooled)."""
     if len(set(values)) < len(values):
@@ -290,12 +298,12 @@ def _report_dict(output: ChainOutput) -> dict:
     }
 
 
-def _write_draws_csv(output: ChainOutput, path: str) -> None:
+def _write_draws_csv(output: ChainOutput, fh) -> None:
     columns, header = [output.sigma2_draws], ["sigma2"]
     if output.beta_draws is not None:
         columns.append(output.beta_draws)
         header += [f"beta_{j}" for j in range(output.p)]
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+    np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",",
                header=",".join(header), comments="")
 
 
@@ -320,17 +328,15 @@ def _cmd_run(args) -> int:
         sim = cells[0].generate(RngStream.from_key(args.seed, 0))
         dataset, groups = sim.dataset, sim.groups
 
-    # run_chain checks the model against the data before it draws anything
-    output = run_chain(KernelKind(args.kernel), _resolve_model(args, groups),
-                       dataset, config, rng=RngStream.from_key(args.seed, 1))
-    text = json.dumps(_report_dict(output), indent=2)
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    if args.draws:
-        _write_draws_csv(output, args.draws)
+    model = _resolve_model(args, groups)
+    model.validate_for(dataset)
+    with contextlib.ExitStack() as stack:
+        report, draws = _open_outputs(stack, args.report, args.draws)
+        output = run_chain(KernelKind(args.kernel), model, dataset, config,
+                           rng=RngStream.from_key(args.seed, 1))
+        print(json.dumps(_report_dict(output), indent=2), file=report or sys.stdout)
+        if draws is not None:
+            _write_draws_csv(output, draws)
     return 0
 
 
@@ -466,28 +472,33 @@ def _grid_from_args(args) -> BenchGrid:
                      kernels=tuple(args.kernels), reps=args.reps, config=config)
 
 
-def run_bench(args) -> tuple[list[BenchRow], list[dict]]:
-    """Execute the benchmark grid; returns (raw rows, aggregate rows)."""
-    grid = _grid_from_args(args)
-    jobs = [(grid, ci, rep)
-            for ci in range(len(grid.cells)) for rep in range(grid.reps)]
-    nested = map_jobs(_run_bench_job, jobs, jobs=args.jobs)
+def _run_grid(grid: BenchGrid, jobs: int) -> tuple[list[BenchRow], list[dict]]:
+    items = [(grid, ci, rep)
+             for ci in range(len(grid.cells)) for rep in range(grid.reps)]
+    nested = map_jobs(_run_bench_job, items, jobs=jobs)
     rows = [row for group in nested for row in group]
     return rows, _aggregate(rows)
 
 
-def _write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+def run_bench(args) -> tuple[list[BenchRow], list[dict]]:
+    """Execute the benchmark grid; returns (raw rows, aggregate rows)."""
+    return _run_grid(_grid_from_args(args), args.jobs)
+
+
+def _write_csv(fh, columns: list[str], rows: list[dict]) -> None:
+    writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 def _cmd_bench(args) -> int:
     _check_separate_files(args, ("--out-raw", "--out-agg"))
-    rows, agg = run_bench(args)
-    _write_csv(args.out_raw, RAW_COLUMNS, [r.to_csv_dict() for r in rows])
-    _write_csv(args.out_agg, AGG_COLUMNS, agg)
+    grid = _grid_from_args(args)
+    with contextlib.ExitStack() as stack:
+        raw, agg_fh = _open_outputs(stack, args.out_raw, args.out_agg)
+        rows, agg = _run_grid(grid, args.jobs)
+        _write_csv(raw, RAW_COLUMNS, [r.to_csv_dict() for r in rows])
+        _write_csv(agg_fh, AGG_COLUMNS, agg)
     n_err = sum(1 for r in rows if r.status != "ok")
     print(f"wrote {len(rows)} rows ({n_err} failed) to {args.out_raw}; "
           f"aggregates to {args.out_agg}")
@@ -517,3 +528,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

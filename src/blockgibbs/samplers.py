@@ -25,12 +25,11 @@ data shape:
 
 * dense update (every model when p <= n, the fused lasso at any p): the
   p x p posterior precision A = X^T X + Q = L L^T, with Q the prior
-  precision. Both scales are 0.5 S(v) + xi for the one sum of squares
-  S(v) = ||y - X v||^2 + v^T Q v, taken at the mean m = A^-1 X^T y
-  (two-block) or at the incoming beta (three-block), so the two kernels do
-  the same work per iteration. When n > p, S(v) costs O(p^2):
-  ||y - X v||^2 = ||R [v; -1]||^2 for the triangular factor R of
-  [X y] = Q_xy R taken once per chain, in place of an O(np) residual;
+  precision; when n > p, the p + 1 rows of R, the triangular factor of
+  [X y] taken once per chain, stand in for (X, y). Both scales are
+  0.5 S(v) + xi for S(v) = ||y - X v||^2 + v^T Q v, at the mean
+  m = L^-T u, u = L^-1 X^T y (two-block, one more triangular solve) or at
+  the incoming beta (three-block), and beta = L^-T (u + sigma z);
 * n-space update (group and sparse group lasso when p > n, where Q is
   diagonal with D = Q^-1): the n x n matrix I + X D X^T, following
   Bhattacharya, Chakraborty & Mallick (2016, Biometrika 103(4)). The
@@ -60,7 +59,6 @@ import numpy as np
 from . import _kernels
 from ._linalg import (
     cholesky_spd,
-    mul_upper,
     one_blas_thread,
     qr_r,
     solve_lower,
@@ -248,25 +246,9 @@ def _gamma_shape(spec: ModelSpec, dataset: Dataset, two_block: bool) -> float:
 
 
 def _sum_of_squares(x, y):
-    """`sum_sq(v, prior)` = S(v) = ||y - X v||^2 + v^T Q v for every v.
-
-    When n > p, ||y - X v||^2 = ||R [v; -1]||^2 for R the (p + 1) x (p + 1)
-    triangular factor of [X y] = Q_xy R, taken once per chain (O(n p^2));
-    each call then costs one triangular product, O(p^2), instead of the
-    O(np) residual it computes otherwise.
-    """
-    if x.shape[0] <= x.shape[1]:
-        def sum_sq(v, prior):
-            resid = y - x @ v
-            return float(resid @ resid) + prior.quad_form(v)
-
-        return sum_sq
-    r = qr_r(x, y)
-    v_ext = np.full(x.shape[1] + 1, -1.0)
-
+    """`sum_sq(v, prior)` = S(v) = ||y - X v||^2 + v^T Q v for every v."""
     def sum_sq(v, prior):
-        v_ext[:-1] = v
-        resid = mul_upper(r, v_ext)
+        resid = y - x @ v
         return float(resid @ resid) + prior.quad_form(v)
 
     return sum_sq
@@ -278,23 +260,23 @@ def _checked_scale(scale: float) -> float:
     return scale
 
 
-def _beta_from_mean(chol: np.ndarray, mean: np.ndarray, sigma2: float,
-                    gen: np.random.Generator) -> np.ndarray:
-    """Draw from N(mean, sigma2 A^-1) given A = L L^T.
+def _beta_draw(chol: np.ndarray, u: np.ndarray, sigma2: float,
+               gen: np.random.Generator) -> np.ndarray:
+    """Draw from N(A^-1 b, sigma2 A^-1) given A = L L^T and u = L^-1 b.
 
-    The mean plus sqrt(sigma2) L^-T z for z = standard_normal(p).
+    L^-T (u + sqrt(sigma2) z) for z = standard_normal(p).
     """
-    z = gen.standard_normal(mean.shape[0])
-    return mean + math.sqrt(sigma2) * solve_lower_t(chol, z)
+    z = gen.standard_normal(u.shape[0])
+    return solve_lower_t(chol, u + math.sqrt(sigma2) * z)
 
 
 def sample_mvn_precision(b: np.ndarray, precision: np.ndarray, sigma2: float,
                          rng: RngStream) -> np.ndarray:
     """Draw from N(A^-1 b, sigma2 * A^-1) given the precision matrix A.
 
-    One Cholesky factorization, reused by the mean and the noise term; the
-    draw is the dense block update's coefficient draw, made under one BLAS
-    thread as in the chain. `precision` must be square and `b` of its order
+    One Cholesky factorization and two triangular solves; the draw is the
+    dense block update's coefficient draw, made under one BLAS thread as in
+    the chain. `precision` must be square and `b` of its order
     (`DimensionMismatchError` otherwise).
     """
     _require_positive(sigma2=sigma2)
@@ -311,27 +293,30 @@ def sample_mvn_precision(b: np.ndarray, precision: np.ndarray, sigma2: float,
                                      precision.shape[0], b.size)
     with one_blas_thread():
         chol = cholesky_spd(precision, "precision")
-        mean = solve_lower_t(chol, solve_lower(chol, b))
-        return _beta_from_mean(chol, mean, sigma2, rng.generator)
+        return _beta_draw(chol, solve_lower(chol, b), sigma2, rng.generator)
 
 
 def _dense_block_sampler(spec: ModelSpec, dataset: Dataset, kernel: KernelKind):
     """Block update through the p x p posterior precision A = X^T X + Q.
 
     Returns `draw(beta, prior, gen) -> (new_beta, sigma2)` for the chain's
-    prior object `prior`. X^T X is kept in Fortran order, so that copying it
-    into the scratch array, where each iteration assembles the posterior
-    precision and LAPACK factors it in place, is one contiguous copy.
+    prior object `prior`. When n > p, the columns of R from `qr_r` stand in
+    for X and y. X^T X is kept in Fortran order, so that copying it into the
+    scratch array, where each iteration assembles the posterior precision
+    and LAPACK factors it in place, is one contiguous copy.
 
-    Both scales are 0.5 S(v) + xi, at v = m = A^-1 X^T y (two-block) or at
-    the incoming beta (three-block); the kernels differ only there and in
-    the gamma shape. The mean is computed before the gamma draw; it
-    consumes no random numbers.
+    Both scales are 0.5 S(v) + xi, at v = m (two-block) or at the incoming
+    beta (three-block); the kernels differ only there and in the gamma
+    shape, which keeps the dataset's n. The mean is computed before the
+    gamma draw; it consumes no random numbers.
     """
     two_block = kernel is KernelKind.TWO_BLOCK
     shape = _gamma_shape(spec, dataset, two_block)
     xi = spec.xi
     x, y = dataset.x, dataset.y
+    if dataset.n > dataset.p:
+        r = qr_r(x, y)
+        x, y = r[:, :-1], r[:, -1]
     gram = np.asfortranarray(x.T @ x)
     xty = x.T @ y
     sum_sq = _sum_of_squares(x, y)
@@ -340,10 +325,10 @@ def _dense_block_sampler(spec: ModelSpec, dataset: Dataset, kernel: KernelKind):
     def draw(beta, prior, gen):
         chol = cholesky_spd(add_prior_precision(gram, prior.diag, prior.off, out=a),
                             "posterior precision", overwrite=True)
-        mean = solve_lower_t(chol, solve_lower(chol, xty))
-        s = sum_sq(mean if two_block else beta, prior)
+        u = solve_lower(chol, xty)
+        s = sum_sq(solve_lower_t(chol, u) if two_block else beta, prior)
         sigma2 = _checked_scale(0.5 * s + xi) / gen.gamma(shape)
-        return _beta_from_mean(chol, mean, sigma2, gen), float(sigma2)
+        return _beta_draw(chol, u, sigma2, gen), float(sigma2)
 
     return draw
 

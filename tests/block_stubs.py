@@ -28,6 +28,14 @@ class BasisGenerator:
         return z
 
 
+def read_off_maps(draw, n_normals):
+    """(mean, sigma2, B B^T) of a draw `draw(gen) -> (beta, sigma2)` that is
+    affine in its `n_normals` standard normals, read off with BasisGenerator."""
+    mean, sigma2 = draw(BasisGenerator())
+    noise = np.column_stack([draw(BasisGenerator(j))[0] - mean for j in range(n_normals)])
+    return mean, sigma2, noise @ noise.T
+
+
 def fixed_prior(spec, *inv_scales):
     """The chain's prior object for `spec`, with Q set from fixed reciprocal scales.
 

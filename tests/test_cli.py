@@ -3,6 +3,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -883,3 +887,51 @@ def test_run_runtime_failure_exits_3(tmp_path, capsys):
                  "--iters", "200", "--burnin", "10"])
     assert code == 3
     assert "iteration" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# output paths and module entry points
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("flag", ["--report", "--draws"])
+def test_run_unopenable_output_exits_3_before_any_chain(tmp_path, monkeypatch, capsys,
+                                                        flag):
+    monkeypatch.setattr(cli, "run_chain", lambda *args, **kw: pytest.fail("a chain ran"))
+    outputs = {"--report": str(tmp_path / "r.json"), "--draws": str(tmp_path / "d.csv")}
+    outputs[flag] = str(tmp_path / "missing-dir" / "out")
+    argv = RUN_S1 + [arg for pair in outputs.items() for arg in pair]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o failure: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--out-raw", "--out-agg"])
+def test_bench_unopenable_output_exits_3_before_any_job(tmp_path, monkeypatch, capsys,
+                                                        flag):
+    monkeypatch.setattr(cli, "map_jobs", lambda *args, **kw: pytest.fail("a job ran"))
+    argv, _, _ = bench_args(tmp_path, "o")
+    argv[argv.index(flag) + 1] = str(tmp_path / "missing-dir" / "out.csv")
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o failure: ") and "Traceback" not in err
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.mark.parametrize("module", ["blockgibbs", "blockgibbs.cli"])
+def test_module_entry_points_run_the_cli(tmp_path, module):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", module, *args], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    bad = run("run", "--model", "nonsense", "--kernel", "2bg")
+    assert bad.returncode == 2 and "Traceback" not in bad.stderr
+    good = run("run", "--model", "group-lasso", "--kernel", "2bg", "--scenario", "s1",
+               "--n", "20", "--K", "1", "--lambda", "1", "--iters", "200",
+               "--burnin", "50")
+    assert good.returncode == 0, good.stderr
+    assert json.loads(good.stdout)["iters"] == 200

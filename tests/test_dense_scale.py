@@ -1,16 +1,18 @@
-"""The dense block update's residual-variance scales against rational references.
+"""The dense block update's scales and maps against rational references.
 
 Both kernels' scales are 0.5 S(v) + xi for the one sum of squares
 S(v) = ||y - X v||^2 + v^T Q v, taken at the mean m = A^-1 X^T y
 (two-block) or at the incoming beta (three-block), with A = X^T X + Q.
-S(v) is ||R [v; -1]||^2 + v^T Q v for R the triangular factor of [X y]
-(n > p), or comes from the residual itself (n <= p).
+When n > p the update works on the p + 1 rows of R, the triangular factor
+of [X y], in place of (X, y); its scales, mean map and covariance map must
+still be those of the unreduced data.
 
 S(beta) = S(m) + (beta - m)^T A (beta - m) ties the two together. The
 references are computed exactly in `fractions.Fraction` arithmetic from the
 float inputs.
 """
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockgibbs import Dataset, GroupStructure, KernelKind, ModelSpec, samplers
-from blockgibbs._linalg import mul_upper, qr_r
-from block_stubs import block_draw, fixed_prior, to_dense
+from blockgibbs._linalg import qr_r
+from block_stubs import block_draw, fixed_prior, read_off_maps, to_dense
 
 TWO, THREE = KernelKind.TWO_BLOCK, KernelKind.THREE_BLOCK
 
@@ -64,12 +66,24 @@ class Exact:
         return quad(self.a, [Fraction(v) - mi for v, mi in zip(beta, self.m)])
 
 
+def exact_inverse(a):
+    p = len(a)
+    cols = [exact_solve(a, [Fraction(int(i == j)) for i in range(p)]) for j in range(p)]
+    return [[cols[j][i] for j in range(p)] for i in range(p)]
+
+
 def quad(mat, v):
     return sum(vi * mij * vj for vi, row in zip(v, mat) for mij, vj in zip(row, v))
 
 
 def rel_err(value, exact):
     return float(abs(Fraction(value) - exact) / exact)
+
+
+def assert_exact(values, exact, rtol):
+    """Each float in `values` within `rtol` relative of its rational in `exact`."""
+    flat = np.ravel(np.array(exact, dtype=object))
+    assert max(rel_err(v, e) for v, e in zip(np.ravel(values), flat)) < rtol
 
 
 def scales(spec, ds, beta, inv_scales):
@@ -108,19 +122,8 @@ def test_qr_r_is_the_triangular_factor_of_x_y(n):
     np.testing.assert_allclose(r.T @ r, xy.T @ xy, rtol=1e-12, atol=1e-12)
 
 
-def test_mul_upper_reads_only_the_upper_triangle():
-    rng = np.random.default_rng(8)
-    r = np.asfortranarray(rng.standard_normal((6, 6)))
-    x = rng.standard_normal(6)
-    kept = x.copy()
-    np.testing.assert_allclose(mul_upper(r, x), np.triu(r) @ x, rtol=1e-14)
-    np.testing.assert_array_equal(x, kept)
-
-
 @pytest.mark.parametrize("n,p", [(9, 4), (5, 5), (3, 6)])
 def test_sum_of_squares_matches_the_residual(n, p):
-    # through the QR factorization of [X y] when n > p, the residual itself
-    # otherwise
     rng = np.random.default_rng(n * p)
     x, y = rng.standard_normal((n, p)), rng.standard_normal(n)
     spec = ModelSpec.fused_lasso(1.0, 1.0)
@@ -144,6 +147,40 @@ def test_both_scales_follow_the_identity(seed, n, p, model):
     two, three = scales(spec, ds, beta, inv_scales)
     assert rel_err(two, exact.s_mean / 2 + xi) < 1e-13
     assert rel_err(three, exact.s(beta) / 2 + xi) < 1e-13
+
+
+@pytest.mark.parametrize("model", ["group", "sparse", "fused"])
+@pytest.mark.parametrize("n,p", [(9, 5), (300, 5)])
+@pytest.mark.parametrize("kernel", [TWO, THREE], ids=["2bg", "3bg"])
+def test_reduced_data_keeps_the_maps_of_x_y(kernel, n, p, model):
+    # n > p: the rows of R stand in for (X, y); 300 rows reach R through
+    # several row blocks, the last one shorter
+    ds, spec, inv_scales, beta = instance(n, model, n, p)
+    exact = Exact(ds.x, ds.y, to_dense(fixed_prior(spec, *inv_scales)))
+    mean, scale, cov = read_off_maps(
+        lambda gen: block_draw(spec, ds, kernel, beta, inv_scales, gen), p)
+    s = exact.s_mean if kernel is TWO else exact.s(beta)
+    exact_scale = s / 2 + Fraction(spec.xi)
+    assert rel_err(scale, exact_scale) < 1e-12
+    assert_exact(mean, exact.m, 1e-12)
+    assert_exact(cov, [[exact_scale * v for v in row] for row in exact_inverse(exact.a)],
+                 1e-12)
+
+
+def test_sample_mvn_precision_has_the_exact_maps():
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((5, 3))
+    precision, b, sigma2 = g.T @ g + np.eye(3), rng.standard_normal(3), 0.7
+
+    def draw(gen):
+        rng_stub = SimpleNamespace(generator=gen)
+        return samplers.sample_mvn_precision(b, precision, sigma2, rng_stub), sigma2
+
+    mean, _, cov = read_off_maps(draw, 3)
+    a = [[Fraction(v) for v in row] for row in precision]
+    assert_exact(mean, exact_solve(a, [Fraction(v) for v in b]), 1e-12)
+    assert_exact(cov, [[Fraction(sigma2) * v for v in row] for row in exact_inverse(a)],
+                 1e-12)
 
 
 # Square or nearly square designs whose prior precision goes down to 1e-10:

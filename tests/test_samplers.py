@@ -27,7 +27,7 @@ from blockgibbs import (
 from blockgibbs import _kernels
 from blockgibbs._linalg import cholesky_spd, solve_lower
 from blockgibbs.diagnostics import autocorr
-from block_stubs import BasisGenerator, fixed_prior, frozen_scale_draws
+from block_stubs import BasisGenerator, fixed_prior, frozen_scale_draws, read_off_maps
 
 TWO, THREE = KernelKind.TWO_BLOCK, KernelKind.THREE_BLOCK
 
@@ -431,8 +431,10 @@ LAYER_CALLS = {
     "fused": {"group_sqnorms": 0, "expand_by_group": 0, "fused_bands": 1,
               "tridiag_quad_form": 1, "ig_transform": 2},
 }
+# the two-block kernel makes one more solve_lower_t, for the mean its scale needs
 SAMPLER_CALLS = {"add_prior_precision": 1, "cholesky_spd": 1, "solve_lower": 1,
-                 "solve_lower_t": 2, "mul_upper": 1}
+                 "solve_lower_t": 1}
+MEAN_CALLS = {TWO: {"solve_lower_t": 2}, THREE: {}}
 
 
 LAYER_ITERS = 3
@@ -484,12 +486,12 @@ def test_layer_calls_are_looked_up_at_call_time_and_never_nest(monkeypatch, mode
                                                                kernel):
     # wrappers set on the modules after import see every call: a helper bound
     # earlier, by an import of the name or a class attribute, would escape
-    # the benchmark's traced spans and make them read 0 without failing; both
-    # kernels make the same calls, the two-block one taking its sum of
-    # squares at the mean
+    # the benchmark's traced spans and make them read 0 without failing; the
+    # kernels differ only in the two-block one's solve for its mean
     calls, nested = layer_calls(monkeypatch, model, kernel)
     assert nested == []
-    assert calls == per_iteration({**LAYER_CALLS[model], **SAMPLER_CALLS})
+    assert calls == per_iteration({**LAYER_CALLS[model], **SAMPLER_CALLS,
+                                   **MEAN_CALLS[kernel]})
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +503,8 @@ def affine_maps(update, spec, ds, kernel, beta, prior):
     sampler = {"dense": samplers._dense_block_sampler,
                "nspace": samplers._nspace_block_sampler}[update]
     draw = sampler(spec, ds, kernel)
-    mean, sigma2 = draw(beta, prior, BasisGenerator())
     n_normals = ds.p if update == "dense" else ds.p + ds.n
-    cols = [draw(beta, prior, BasisGenerator(j))[0] - mean
-            for j in range(n_normals)]
-    noise = np.column_stack(cols)
-    return mean, sigma2, noise @ noise.T
+    return read_off_maps(lambda gen: draw(beta, prior, gen), n_normals)
 
 
 def wide_group_problem(seed, model, n=7, p=12):
