@@ -1,11 +1,20 @@
 """Counted Cholesky factorization, other LAPACK/BLAS wrappers, one BLAS thread.
 
 Thin wrappers over the LAPACK/BLAS routines with per-call overhead kept low
-(these sit inside the per-iteration sampler loop). The factorization counter
-exists so tests can assert how many Cholesky factorizations a Gibbs step
-performs (the two-block kernels must do exactly one per iteration). The
-counter is plain module state, meant for single-threaded test
-instrumentation.
+(these sit inside the per-iteration sampler loop). The four routines (`dpotrf`,
+`dtpqrt`, `dtrsv`, `dsyrk`) are the f2py routine objects of scipy's `_flapack`
+and `_fblas` extension modules, loaded from the `linalg` directory of the
+installed scipy after a plain `import scipy` (which keeps scipy's distributor
+set-up). The `scipy.linalg` package itself is not imported: it would pull in
+some 300 further modules and take about 0.25 s. The two modules are left out
+of `sys.modules`, so a later `import scipy.linalg` works as usual; an
+extension module is initialised once per process, so it hands out the same
+routine objects.
+
+The factorization counter exists so tests can assert how many Cholesky
+factorizations a Gibbs step performs (the two-block kernels must do exactly
+one per iteration). The counter is plain module state, meant for
+single-threaded test instrumentation.
 
 `one_blas_thread()` runs a block with every loaded OpenBLAS copy set to one
 thread, in the style of `np.errstate`, and restores the caller's counts on
@@ -25,21 +34,47 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import importlib.machinery
 import itertools
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.blas import get_blas_funcs
-from scipy.linalg.lapack import get_lapack_funcs
+import scipy
 
 from .errors import FactorizationError
 
-_f64 = np.empty(0, dtype=np.float64)
-_potrf, _tpqrt = get_lapack_funcs(("potrf", "tpqrt"), (_f64,))
-_trsv, _syrk = get_blas_funcs(("trsv", "syrk"), (_f64,))
+
+def _scipy_linalg_extension(name: str):
+    """scipy's extension module `scipy.linalg.<name>`, loaded from its file.
+
+    Neither the `scipy.linalg` package is imported nor the module left in
+    `sys.modules`; once `scipy.linalg` is imported, its own module is used.
+    """
+    fullname = f"scipy.linalg.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    stem = os.path.join(os.path.dirname(scipy.__file__), "linalg", name)
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            loader = importlib.machinery.ExtensionFileLoader(fullname, stem + suffix)
+            module = loader.create_module(
+                importlib.machinery.ModuleSpec(fullname, loader, origin=loader.path))
+            loader.exec_module(module)
+            # the interpreter registers a single-phase extension as it creates it
+            sys.modules.pop(fullname, None)
+            return module
+    raise ImportError(f"scipy's extension module {fullname} was not found at {stem}*",
+                      name=fullname, path=stem)
+
+
+_flapack = _scipy_linalg_extension("_flapack")
+_fblas = _scipy_linalg_extension("_fblas")
+_potrf, _tpqrt = _flapack.dpotrf, _flapack.dtpqrt
+_trsv, _syrk = _fblas.dtrsv, _fblas.dsyrk
 
 _factorizations = 0
 

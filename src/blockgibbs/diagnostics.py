@@ -11,6 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# Loaded here, before `map_jobs` forks its workers, so that each worker
+# inherits them: numpy imports both lazily, and `np.quantile` in `summarize`
+# reaches numpy.ma (through np.unique), which would otherwise cost every
+# forked worker about 20 ms on its first diagnosis.
+import numpy.fft  # noqa: F401
+import numpy.ma  # noqa: F401
 
 from .samplers import ChainOutput
 

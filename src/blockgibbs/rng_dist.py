@@ -105,8 +105,9 @@ def sample_inverse_gaussian(mu: float, lam: float, rng: RngStream,
     per draw.
     """
     _require_positive(mu=mu, lam=lam)
-    n = 1 if size is None else int(size)
-    mu_vec = np.full(n, float(mu))
+    if size is not None:
+        _require_integers(size=size)
+    mu_vec = np.full(1 if size is None else size, float(mu))
     out = sample_inverse_gaussian_vector(mu_vec, lam, rng)
     return float(out[0]) if size is None else out
 

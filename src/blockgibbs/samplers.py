@@ -51,7 +51,6 @@ from __future__ import annotations
 import enum
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +116,10 @@ class RunConfig:
                 f"burn_in={self.burn_in}, n_iter={self.n_iter}")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
+        if self.thin > self.n_iter - self.burn_in:
+            raise ValueError(
+                f"n_iter={self.n_iter} with burn_in={self.burn_in} and "
+                f"thin={self.thin} keeps 0 draws")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -277,7 +280,9 @@ def sample_mvn_precision(b: np.ndarray, precision: np.ndarray, sigma2: float,
     One Cholesky factorization and two triangular solves; the draw is the
     dense block update's coefficient draw, made under one BLAS thread as in
     the chain. `precision` must be square and `b` of its order
-    (`DimensionMismatchError` otherwise).
+    (`DimensionMismatchError` otherwise). Only the lower triangle of
+    `precision` is read; a NaN there or a non-finite entry of `b` raises
+    `ValueError`, and an infinite diagonal entry pins its coefficient at 0.
     """
     _require_positive(sigma2=sigma2)
     b = np.asarray(b, dtype=np.float64)
@@ -291,6 +296,10 @@ def sample_mvn_precision(b: np.ndarray, precision: np.ndarray, sigma2: float,
     if b.shape != precision.shape[:1]:
         raise DimensionMismatchError("b length vs precision order",
                                      precision.shape[0], b.size)
+    if not np.isfinite(b).all():
+        raise ValueError("b must be finite")
+    if np.isnan(np.tril(precision)).any():
+        raise ValueError("precision has a NaN in its lower triangle")
     with one_blas_thread():
         chol = cholesky_spd(precision, "precision")
         return _beta_draw(chol, solve_lower(chol, b), sigma2, rng.generator)
@@ -453,9 +462,14 @@ def map_jobs(worker, items, jobs: int = 1) -> list:
     Results come back in the order of `items` regardless of completion
     order, so parallel benchmark output stays deterministic. The workers are
     forked under `one_blas_thread()` and inherit its one BLAS thread, so
-    their chains' scopes make no OpenBLAS call (see `_linalg`).
+    their chains' scopes make no OpenBLAS call (see `_linalg`). They also
+    inherit every module loaded before the fork, which is why `diagnostics`
+    imports numpy.fft and numpy.ma up front. The process pool is imported
+    only when `jobs > 1`, so `import blockgibbs` and serial runs skip it.
     """
     if jobs <= 1:
         return [worker(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     with one_blas_thread(), ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, items))

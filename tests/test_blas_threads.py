@@ -308,3 +308,73 @@ def test_run_report_records_threads_and_libraries(capsys):
     assert report["blas_threads"] == 1
     assert report["blas_libraries"] == {lib.name: lib.config for lib in CONTROLS}
     assert all(config.startswith("OpenBLAS") for config in report["blas_libraries"].values())
+
+
+ROUTINES_SCRIPT = """
+import json, sys
+import numpy as np
+if sys.argv[1] == "before":
+    import scipy.linalg
+from blockgibbs import _linalg
+if sys.argv[1] == "after":
+    import scipy.linalg
+from scipy.linalg import blas, lapack
+rng = np.random.default_rng(7)
+x = rng.standard_normal((9, 6))
+a = np.asfortranarray(x.T @ x + np.eye(6))
+b = rng.standard_normal(6)
+chol = lapack.dpotrf(a, lower=1, clean=0)[0]
+r, block = np.asfortranarray(np.triu(rng.standard_normal((6, 6)))), np.asfortranarray(x)
+pairs = {
+    "potrf": (_linalg._potrf(a, lower=1, clean=0), lapack.dpotrf(a, lower=1, clean=0)),
+    "trsv": (_linalg._trsv(chol, b, lower=1, trans=1), blas.dtrsv(chol, b, lower=1, trans=1)),
+    "syrk": (_linalg._syrk(1.0, x, trans=1, lower=1), blas.dsyrk(1.0, x, trans=1, lower=1)),
+    "tpqrt": (_linalg._tpqrt(0, 6, r, block), lapack.dtpqrt(0, 6, r, block)),
+}
+def parts(result):
+    return [np.asarray(part).tobytes() for part in
+            (result if isinstance(result, tuple) else (result,))]
+print(json.dumps({name: parts(ours) == parts(theirs)
+                  for name, (ours, theirs) in pairs.items()}))
+"""
+
+
+@pytest.mark.parametrize("order", ["before", "after"])
+def test_routines_equal_scipy_linalg_imported_before_or_after(order):
+    # _linalg loads scipy's _flapack and _fblas without the scipy.linalg
+    # package; importing that package before or after changes no result
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", ROUTINES_SCRIPT, order], env=env,
+                         check=True, capture_output=True, text=True, timeout=120)
+    assert json.loads(out.stdout) == {"potrf": True, "trsv": True, "syrk": True,
+                                      "tpqrt": True}
+
+
+LIBRARIES_SCRIPT = """
+import json
+from blockgibbs import _linalg
+before = sorted(_linalg.blas_libraries())
+with _linalg.one_blas_thread():
+    inside = [lib.get_threads() for lib in _linalg._openblas_controls()]
+import scipy.linalg
+_linalg._openblas_controls.cache_clear()
+print(json.dumps({"before": before, "inside": inside,
+                  "after": sorted(_linalg.blas_libraries())}))
+"""
+
+
+@needs_openblas
+def test_scipys_openblas_is_controlled_without_scipy_linalg():
+    # scipy.linalg maps no OpenBLAS copy that the extension modules have not
+    # mapped already, so one_blas_thread() sets scipy's copy too
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="2")
+    out = json.loads(subprocess.run(
+        [sys.executable, "-c", LIBRARIES_SCRIPT], env=env, check=True,
+        capture_output=True, text=True, timeout=120).stdout)
+    assert out["before"] == out["after"] == sorted(lib.name for lib in CONTROLS)
+    assert out["inside"] == [1] * len(CONTROLS)
+
+
+def test_a_missing_extension_module_is_named():
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._fnosuch was not found"):
+        _linalg._scipy_linalg_extension("_fnosuch")

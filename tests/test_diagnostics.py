@@ -126,13 +126,18 @@ def test_autocovariances_match_a_scipy_fft_reference(n):
 
 
 def test_import_leaves_scipy_fft_unloaded():
-    # scipy is only the LAPACK/BLAS layer; the FFT is numpy's
+    # scipy is only the LAPACK/BLAS layer and supplies it without importing
+    # scipy.linalg; the FFT is numpy's; the process pool is imported when a
+    # grid first runs in parallel; numpy.fft and numpy.ma are loaded before
+    # map_jobs forks, so that its workers inherit them
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    code = ("import sys, blockgibbs; print(sorted(m for m in sys.modules "
-            "if m in ('scipy.fft', 'scipy.special')))")
+    code = ("import sys, blockgibbs; print(sorted(m for m in sys.modules if m in "
+            "('scipy.fft', 'scipy.special', 'scipy.linalg', 'scipy.linalg._flapack', "
+            "'scipy.linalg._fblas', 'concurrent.futures.process'))); "
+            "print(sorted(m for m in ('numpy.ma', 'numpy.fft') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.split("\n")[:2] == ["[]", "['numpy.fft', 'numpy.ma']"]
 
 
 def test_ess_per_second_values():

@@ -85,6 +85,13 @@ def test_inverse_gaussian_rejects_bad_params():
         sample_inverse_gaussian(math.nan, 1.0, rng)
 
 
+@pytest.mark.parametrize("size", [2.5, True, -1])
+def test_inverse_gaussian_rejects_a_size_that_is_not_a_count(size):
+    # int(size) used to turn 2.5 into 2 draws and True into 1
+    with pytest.raises(ValueError):
+        sample_inverse_gaussian(1.0, 2.0, RngStream(0), size=size)
+
+
 def test_inverse_gaussian_stress_positivity():
     # extreme parameter corners must stay strictly positive and finite
     for seed, (mu, lam) in enumerate([(1e-6, 1e6), (1e6, 1e-6)]):
@@ -226,3 +233,28 @@ def test_mvn_precision_rejects_mismatched_shapes(b, precision, match):
     # BLAS error
     with pytest.raises(DimensionMismatchError, match=match):
         sample_mvn_precision(b, precision, 1.0, RngStream(0))
+
+
+@pytest.mark.parametrize("b,precision,match", [
+    (np.ones(2), [[math.nan, 0.0], [0.0, 1.0]], "precision has a NaN"),
+    (np.ones(2), [[1.0, 0.0], [math.nan, 1.0]], "precision has a NaN"),
+    ([math.nan, 1.0], np.eye(2), "b must be finite"),
+    ([1.0, -math.inf], np.eye(2), "b must be finite"),
+])
+def test_mvn_precision_rejects_nan_inputs(b, precision, match):
+    # OpenBLAS potrf reports info 0 for a NaN, so these used to draw NaNs
+    with pytest.raises(ValueError, match=match):
+        sample_mvn_precision(b, precision, 1.0, RngStream(0))
+
+
+def test_mvn_precision_reads_only_the_lower_triangle():
+    prec = np.array([[2.0, 0.5], [0.5, 1.0]])
+    upper_nan = prec.copy()
+    upper_nan[0, 1] = math.nan
+    draws = [sample_mvn_precision(np.ones(2), a, 1.0, RngStream(3)) for a in (prec, upper_nan)]
+    np.testing.assert_array_equal(draws[0], draws[1])
+
+
+def test_mvn_precision_infinite_diagonal_pins_the_coefficient_at_zero():
+    draw = sample_mvn_precision(np.ones(2), [[math.inf, 0.0], [0.0, 1.0]], 1.0, RngStream(0))
+    assert draw[0] == 0.0 and np.isfinite(draw[1])

@@ -184,6 +184,19 @@ def test_run_config_validation():
         RunConfig(n_iter=10, burn_in=0, thin=0)
 
 
+@pytest.mark.parametrize("n_iter,burn_in,thin", [(10, 0, 20), (10, 0, 11), (10, 5, 6)])
+def test_run_config_rejects_a_chain_that_keeps_no_draw(n_iter, burn_in, thin):
+    # such a chain used to run in full and return empty draws
+    with pytest.raises(ValueError, match="keeps 0 draws"):
+        RunConfig(n_iter=n_iter, burn_in=burn_in, thin=thin)
+
+
+def test_shortest_chains_keep_one_draw():
+    ds, spec = small_group_problem()
+    for config in (RunConfig(n_iter=1, burn_in=0), RunConfig(n_iter=10, burn_in=5, thin=5)):
+        assert run_chain(TWO, spec, ds, config).sigma2_draws.shape == (1,)
+
+
 @pytest.mark.parametrize("field,value", [("n_iter", 10.5), ("n_iter", 10.0),
                                          ("burn_in", 1.5), ("thin", 1.5),
                                          ("seed", 2.5), ("n_iter", "10"),
