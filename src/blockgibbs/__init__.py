@@ -4,7 +4,7 @@ Two-block and three-block Gibbs kernels for the Bayesian group lasso,
 sparse group lasso, and fused lasso, plus mixing diagnostics, synthetic
 data generators, and a benchmarking CLI.
 """
-from ._linalg import factorization_count, reset_factorization_count
+from ._linalg import factorization_count
 from .diagnostics import (
     DiagnosticsReport,
     Summary,

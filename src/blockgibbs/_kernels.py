@@ -75,15 +75,12 @@ def _ig_transform_loop(mu, lam, normals, uniforms):
     return out
 
 
-def ig_transform_short(mu: np.ndarray, lam: float, normals: np.ndarray,
-                       uniforms: np.ndarray) -> np.ndarray:
+def ig_transform(mu: np.ndarray, lam: float, normals: np.ndarray,
+                 uniforms: np.ndarray) -> np.ndarray:
     """The sampler's transform: the scalar loop on short vectors."""
     if mu.shape[0] > SHORT_VECTOR_MAX:
         return ig_transform_numpy(mu, lam, normals, uniforms)
     return _ig_transform_loop(mu.tolist(), lam, normals.tolist(), uniforms.tolist())
-
-
-ig_transform = ig_transform_short
 
 
 # ---------------------------------------------------------------------------

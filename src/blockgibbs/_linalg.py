@@ -11,10 +11,11 @@ of `sys.modules`, so a later `import scipy.linalg` works as usual; an
 extension module is initialised once per process, so it hands out the same
 routine objects.
 
-The factorization counter exists so tests can assert how many Cholesky
-factorizations a Gibbs step performs (the two-block kernels must do exactly
-one per iteration). The counter is plain module state, meant for
-single-threaded test instrumentation.
+`factorization_count()` is the number of Cholesky factorizations made in
+this process so far. It has no reset: the tests and the benchmark read it
+before and after a chain or a Gibbs step and take the difference (both
+kernels make exactly one per iteration). The counter is plain module state,
+meant for single-threaded instrumentation.
 
 `one_blas_thread()` runs a block with every loaded OpenBLAS copy set to one
 thread, in the style of `np.errstate`, and restores the caller's counts on
@@ -81,11 +82,6 @@ _factorizations = 0
 
 def factorization_count() -> int:
     return _factorizations
-
-
-def reset_factorization_count() -> None:
-    global _factorizations
-    _factorizations = 0
 
 
 def cholesky_spd(a: np.ndarray, name: str = "matrix",

@@ -6,6 +6,9 @@ Raw benchmark CSVs carry 17 significant digits (round-trippable); aggregate
 tables carry 4. All seeds are derived from the master seed with fixed spawn
 keys, so repeated invocations reproduce every draw-dependent number exactly
 (wall-time columns are physical measurements and necessarily vary).
+
+The module exports `main` and `entry` (the command line) and the dataset CSV
+reader and writer; a benchmark grid runs only through `main(["bench", ...])`.
 """
 from __future__ import annotations
 
@@ -28,8 +31,7 @@ from .rng_dist import RngStream
 from .samplers import ChainOutput, KernelKind, RunConfig, map_jobs, run_chain
 from .simgen import Scenario, ScenarioSpec, SimulatedDataset
 
-__all__ = ["main", "entry", "read_dataset_csv", "write_dataset_csv",
-           "run_bench", "BenchGrid", "BenchRow"]
+__all__ = ["main", "entry", "read_dataset_csv", "write_dataset_csv"]
 
 
 class UsageError(ValueError):
@@ -203,11 +205,10 @@ def _resolve_run_config(args, store_beta: bool = False) -> RunConfig:
     """The chain settings of `run` or `bench`, checked before any chain runs."""
     config = RunConfig(n_iter=args.iters, burn_in=args.burnin, seed=args.seed,
                        store_beta=store_beta, thin=args.thin)
-    kept = (args.iters - args.burnin) // args.thin
-    if kept < MIN_ESS_DRAWS:
+    if config.n_keep < MIN_ESS_DRAWS:
         raise UsageError(
             f"--iters {args.iters} with --burnin {args.burnin} and --thin {args.thin} "
-            f"keeps {kept} draws; the diagnostics need at least {MIN_ESS_DRAWS}")
+            f"keeps {config.n_keep} draws; the diagnostics need at least {MIN_ESS_DRAWS}")
     return config
 
 
@@ -316,6 +317,8 @@ def _cmd_run(args) -> int:
              if getattr(args, name) is not None]
     if given:
         raise UsageError(f"{' and '.join(given)} cannot be used with {source}")
+    if args.store_beta and args.draws is None:
+        raise UsageError("--store-beta needs --draws")
     _check_separate_files(args, ("--data", "--report", "--draws"))
     config = _resolve_run_config(args, store_beta=args.store_beta)
     if args.data is not None:
@@ -472,19 +475,6 @@ def _grid_from_args(args) -> BenchGrid:
                      kernels=tuple(args.kernels), reps=args.reps, config=config)
 
 
-def _run_grid(grid: BenchGrid, jobs: int) -> tuple[list[BenchRow], list[dict]]:
-    items = [(grid, ci, rep)
-             for ci in range(len(grid.cells)) for rep in range(grid.reps)]
-    nested = map_jobs(_run_bench_job, items, jobs=jobs)
-    rows = [row for group in nested for row in group]
-    return rows, _aggregate(rows)
-
-
-def run_bench(args) -> tuple[list[BenchRow], list[dict]]:
-    """Execute the benchmark grid; returns (raw rows, aggregate rows)."""
-    return _run_grid(_grid_from_args(args), args.jobs)
-
-
 def _write_csv(fh, columns: list[str], rows: list[dict]) -> None:
     writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
@@ -494,11 +484,14 @@ def _write_csv(fh, columns: list[str], rows: list[dict]) -> None:
 def _cmd_bench(args) -> int:
     _check_separate_files(args, ("--out-raw", "--out-agg"))
     grid = _grid_from_args(args)
+    items = [(grid, ci, rep)
+             for ci in range(len(grid.cells)) for rep in range(grid.reps)]
     with contextlib.ExitStack() as stack:
-        raw, agg_fh = _open_outputs(stack, args.out_raw, args.out_agg)
-        rows, agg = _run_grid(grid, args.jobs)
+        raw, agg = _open_outputs(stack, args.out_raw, args.out_agg)
+        nested = map_jobs(_run_bench_job, items, jobs=args.jobs)
+        rows = [row for group in nested for row in group]
         _write_csv(raw, RAW_COLUMNS, [r.to_csv_dict() for r in rows])
-        _write_csv(agg_fh, AGG_COLUMNS, agg)
+        _write_csv(agg, AGG_COLUMNS, _aggregate(rows))
     n_err = sum(1 for r in rows if r.status != "ok")
     print(f"wrote {len(rows)} rows ({n_err} failed) to {args.out_raw}; "
           f"aggregates to {args.out_agg}")

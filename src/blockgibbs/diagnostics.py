@@ -18,6 +18,7 @@ import numpy as np
 import numpy.fft  # noqa: F401
 import numpy.ma  # noqa: F401
 
+from .rng_dist import _require_integers
 from .samplers import ChainOutput
 
 __all__ = [
@@ -50,6 +51,8 @@ def _autocorrelations(series, min_len: int, what: str) -> np.ndarray:
     if x.shape[0] < min_len:
         raise ValueError(f"series too short: need at least {min_len} values, "
                          f"got {x.shape[0]}")
+    if not np.isfinite(x).all():
+        raise ValueError("series must be finite")
     acov = _autocovariances(x)
     if acov[0] <= 0.0:
         raise ValueError(f"zero variance: {what} undefined for a constant series")
@@ -69,6 +72,7 @@ def _ess(rho: np.ndarray) -> float:
 
 def autocorr(series, lag: int) -> float:
     """Sample autocorrelation at the given lag (mean-centered, biased denominator)."""
+    _require_integers(lag=lag)
     if lag < 0:
         raise ValueError("lag must be non-negative")
     return float(_autocorrelations(series, lag + 2, "autocorrelation")[lag])

@@ -141,6 +141,9 @@ class ModelSpec:
             check_penalty(name, getattr(self, name))
         if self.kind.grouped and self.groups is None:
             raise ValueError(f"{self.kind.value} requires a GroupStructure")
+        if self.groups is not None and not isinstance(self.groups, GroupStructure):
+            raise ValueError(f"groups must be a GroupStructure, got "
+                             f"{type(self.groups).__name__}")
 
     @classmethod
     def group_lasso(cls, lam: float, groups: GroupStructure,
@@ -159,7 +162,8 @@ class ModelSpec:
         return cls(ModelKind.FUSED_LASSO, alpha, xi, lam1=lam1, lam2=lam2)
 
     def validate_for(self, dataset: Dataset) -> None:
-        if self.groups is not None:
+        """Check the spec against the data; the fused lasso ignores `groups`."""
+        if self.kind.grouped:
             self.groups.check_covers(dataset.p)
         if not self.kind.grouped and dataset.p < 2:
             raise ValueError("fused lasso needs at least two coefficients (p >= 2)")

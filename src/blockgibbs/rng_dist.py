@@ -67,20 +67,30 @@ def _require_integers(**params) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _checked_size(size):
+    """The samplers' `size` rule: None, a non-negative int or a tuple of them."""
+    dims = size if isinstance(size, tuple) else () if size is None else (size,)
+    for d in dims:
+        if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 0:
+            raise ValueError(f"size must be None, a non-negative integer or a "
+                             f"tuple of them, got {size!r}")
+    return size
+
+
 def sample_std_normal(rng: RngStream, size: int | None = None):
-    return rng.generator.standard_normal(size)
+    return rng.generator.standard_normal(_checked_size(size))
 
 
 def sample_gamma(shape: float, rate: float, rng: RngStream, size: int | None = None):
     """Gamma draw under the shape/rate convention (mean shape/rate)."""
     _require_positive(shape=shape, rate=rate)
-    return rng.generator.gamma(shape, 1.0 / rate, size)
+    return rng.generator.gamma(shape, 1.0 / rate, _checked_size(size))
 
 
 def sample_student_t(df: float, rng: RngStream, size: int | None = None):
     """Student-t via normal / sqrt(chi2 / df)."""
     _require_positive(df=df)
-    z = rng.generator.standard_normal(size)
+    z = rng.generator.standard_normal(_checked_size(size))
     w = rng.generator.chisquare(df, size)
     return z / np.sqrt(w / df)
 
@@ -89,7 +99,7 @@ def sample_inverse_gamma(shape: float, scale: float, rng: RngStream,
                          size: int | None = None):
     """Inverse-Gamma draw with density proportional to x^(-shape-1) exp(-scale/x)."""
     _require_positive(shape=shape, scale=scale)
-    g = rng.generator.gamma(shape, 1.0, size)
+    g = rng.generator.gamma(shape, 1.0, _checked_size(size))
     if np.any(g == 0.0):
         raise ValueError("gamma variate underflowed to zero; shape too small")
     return scale / g
@@ -102,14 +112,13 @@ def sample_inverse_gaussian(mu: float, lam: float, rng: RngStream,
     Mean `mu`, variance mu^3/lam, density proportional to
     x^(-3/2) exp(-lam (x - mu)^2 / (2 mu^2 x)). Uses the
     Michael-Schucany-Haas transformation: one chi-square plus one uniform
-    per draw.
+    per draw, drawn as one vector over all entries of `size`.
     """
     _require_positive(mu=mu, lam=lam)
-    if size is not None:
-        _require_integers(size=size)
-    mu_vec = np.full(1 if size is None else size, float(mu))
-    out = sample_inverse_gaussian_vector(mu_vec, lam, rng)
-    return float(out[0]) if size is None else out
+    _checked_size(size)
+    count = 1 if size is None else math.prod(size) if isinstance(size, tuple) else size
+    out = sample_inverse_gaussian_vector(np.full(count, float(mu)), lam, rng)
+    return float(out[0]) if size is None else out.reshape(size)
 
 
 def sample_inverse_gaussian_vector(mu: np.ndarray, lam: float,
@@ -120,10 +129,12 @@ def sample_inverse_gaussian_vector(mu: np.ndarray, lam: float,
     (reciprocal of a Gamma(1/2, rate lam/2) variate), which is the limiting
     conditional used when a coefficient block is exactly zero. Consumes one
     normal vector followed by one uniform vector regardless of branches, so
-    the stream position does not depend on the data.
+    the stream position does not depend on the data. `mu` must be 1-D.
     """
     _require_positive(lam=lam)
     mu = np.asarray(mu, dtype=np.float64)
+    if mu.ndim != 1:
+        raise ValueError(f"mu must be 1-D, got shape {mu.shape}")
     if np.any(np.isnan(mu)) or np.any(mu <= 0.0):
         raise ValueError("inverse-Gaussian mean parameters must be positive (inf allowed)")
     return _inverse_gaussian_draws(mu, float(lam), rng.generator)

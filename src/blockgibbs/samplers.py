@@ -116,12 +116,17 @@ class RunConfig:
                 f"burn_in={self.burn_in}, n_iter={self.n_iter}")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
-        if self.thin > self.n_iter - self.burn_in:
+        if self.n_keep < 1:
             raise ValueError(
                 f"n_iter={self.n_iter} with burn_in={self.burn_in} and "
                 f"thin={self.thin} keeps 0 draws")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+    @property
+    def n_keep(self) -> int:
+        """The number of stored draws: every thin-th one after burn-in."""
+        return (self.n_iter - self.burn_in) // self.thin
 
 
 @dataclass(frozen=True)
@@ -248,19 +253,19 @@ def _gamma_shape(spec: ModelSpec, dataset: Dataset, two_block: bool) -> float:
     return 0.5 * (dataset.n + dataset.p + 2.0 * spec.alpha)
 
 
-def _sum_of_squares(x, y):
-    """`sum_sq(v, prior)` = S(v) = ||y - X v||^2 + v^T Q v for every v."""
-    def sum_sq(v, prior):
-        resid = y - x @ v
-        return float(resid @ resid) + prior.quad_form(v)
-
-    return sum_sq
+def _sum_of_squares(x, y, v, prior) -> float:
+    """S(v) = ||y - X v||^2 + v^T Q v."""
+    resid = y - x @ v
+    return float(resid @ resid) + prior.quad_form(v)
 
 
-def _checked_scale(scale: float) -> float:
+def _sigma2_draw(s: float, xi: float, shape: float,
+                 gen: np.random.Generator) -> float:
+    """The residual-variance draw: (0.5 s + xi) / gamma(shape)."""
+    scale = 0.5 * s + xi
     if scale <= 0.0:
         raise ValueError(f"non-positive residual-variance scale {scale}")
-    return scale
+    return float(scale / gen.gamma(shape))
 
 
 def _beta_draw(chol: np.ndarray, u: np.ndarray, sigma2: float,
@@ -279,7 +284,7 @@ def sample_mvn_precision(b: np.ndarray, precision: np.ndarray, sigma2: float,
 
     One Cholesky factorization and two triangular solves; the draw is the
     dense block update's coefficient draw, made under one BLAS thread as in
-    the chain. `precision` must be square and `b` of its order
+    the chain. `precision` must be square and `b` a vector of its order
     (`DimensionMismatchError` otherwise). Only the lower triangle of
     `precision` is read; a NaN there or a non-finite entry of `b` raises
     `ValueError`, and an infinite diagonal entry pins its coefficient at 0.
@@ -293,6 +298,8 @@ def sample_mvn_precision(b: np.ndarray, precision: np.ndarray, sigma2: float,
         raise DimensionMismatchError("precision columns vs rows", *precision.shape)
     if precision.shape[0] < 1:
         raise DimensionMismatchError("precision order (at least 1)", 1, 0)
+    if b.ndim != 1:
+        raise DimensionMismatchError(f"b dimensions (b has shape {b.shape})", 1, b.ndim)
     if b.shape != precision.shape[:1]:
         raise DimensionMismatchError("b length vs precision order",
                                      precision.shape[0], b.size)
@@ -328,16 +335,15 @@ def _dense_block_sampler(spec: ModelSpec, dataset: Dataset, kernel: KernelKind):
         x, y = r[:, :-1], r[:, -1]
     gram = np.asfortranarray(x.T @ x)
     xty = x.T @ y
-    sum_sq = _sum_of_squares(x, y)
     a = np.empty_like(gram, order="F")
 
     def draw(beta, prior, gen):
         chol = cholesky_spd(add_prior_precision(gram, prior.diag, prior.off, out=a),
                             "posterior precision", overwrite=True)
         u = solve_lower(chol, xty)
-        s = sum_sq(solve_lower_t(chol, u) if two_block else beta, prior)
-        sigma2 = _checked_scale(0.5 * s + xi) / gen.gamma(shape)
-        return _beta_draw(chol, u, sigma2, gen), float(sigma2)
+        v = solve_lower_t(chol, u) if two_block else beta
+        sigma2 = _sigma2_draw(_sum_of_squares(x, y, v, prior), xi, shape, gen)
+        return _beta_draw(chol, u, sigma2, gen), sigma2
 
     return draw
 
@@ -356,7 +362,6 @@ def _nspace_block_sampler(spec: ModelSpec, dataset: Dataset, kernel: KernelKind)
     shape = _gamma_shape(spec, dataset, two_block)
     xi = spec.xi
     x, y, n, p = dataset.x, dataset.y, dataset.n, dataset.p
-    sum_sq = _sum_of_squares(x, y)
     xs = np.empty_like(x)
     m = np.zeros((n, n), order="F")
     # the diagonal sits at the same flat stride in C and in Fortran order
@@ -373,14 +378,14 @@ def _nspace_block_sampler(spec: ModelSpec, dataset: Dataset, kernel: KernelKind)
             ly = solve_lower(chol, y)
             s = float(ly @ ly)
         else:
-            s = sum_sq(beta, prior)
-        sigma2 = _checked_scale(0.5 * s + xi) / gen.gamma(shape)
+            s = _sum_of_squares(x, y, beta, prior)
+        sigma2 = _sigma2_draw(s, xi, shape, gen)
         sigma = math.sqrt(sigma2)
         z = gen.standard_normal(p + n)
         u = (sigma * sqrt_d) * z[:p]
         v = x @ u + sigma * z[p:]
         w = solve_lower_t(chol, solve_lower(chol, y - v))
-        return u + d * (x.T @ w), float(sigma2)
+        return u + d * (x.T @ w), sigma2
 
     return draw
 
@@ -427,9 +432,8 @@ def run_chain(kernel: KernelKind, spec: ModelSpec, dataset: Dataset,
     gen = rng.generator
     prior = _chain_prior(spec)
 
-    n_keep = (config.n_iter - config.burn_in) // config.thin
-    sigma2_draws = np.empty(n_keep)
-    beta_draws = np.empty((n_keep, dataset.p)) if config.store_beta else None
+    sigma2_draws = np.empty(config.n_keep)
+    beta_draws = np.empty((config.n_keep, dataset.p)) if config.store_beta else None
 
     with one_blas_thread() as threads:
         block = _BLOCK_SAMPLERS[update](spec, dataset, kernel)

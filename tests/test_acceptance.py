@@ -27,7 +27,6 @@ from blockgibbs import (
     ess_univariate,
     factorization_count,
     initial_chain_state,
-    reset_factorization_count,
     run_chain,
     sample_inverse_gamma,
     sample_inverse_gaussian,
@@ -363,10 +362,10 @@ def test_criterion_9_structural_invariants(tmp_path):
          KernelKind.TWO_BLOCK),
         (ModelSpec.fused_lasso(1.0, 1.0), KernelKind.THREE_BLOCK),
     ]:
-        reset_factorization_count()
+        before = factorization_count()
         run_chain(kernel, spec, ds, RunConfig(n_iter=1, burn_in=0, store_beta=True),
                   rng=RngStream(5), initial_state=initial_chain_state(ds))
-        assert factorization_count() == 1
+        assert factorization_count() - before == 1
     print("[criterion 9] exactly one factorization per Gibbs iteration")
 
     # end-to-end seed determinism of the bench pipeline: byte-identical raw

@@ -557,6 +557,14 @@ def test_run_too_many_iterations_to_store_exits_3(capsys):
     assert err.startswith("runtime failure: ") and "Traceback" not in err
 
 
+def test_run_store_beta_without_draws_exits_2_before_any_chain(monkeypatch, capsys):
+    # the report reads only sigma2: stored beta draws would go nowhere
+    monkeypatch.setattr(cli, "run_chain", lambda *a, **k: pytest.fail("chain ran"))
+    assert main(RUN_S1 + ["--store-beta"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --store-beta needs --draws\n"
+
+
 def test_run_writes_draws(tmp_path):
     draws = tmp_path / "draws.csv"
     code = main(["run", "--model", "sparse-group-lasso", "--kernel", "2bg",

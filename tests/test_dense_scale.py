@@ -128,10 +128,9 @@ def test_sum_of_squares_matches_the_residual(n, p):
     x, y = rng.standard_normal((n, p)), rng.standard_normal(n)
     spec = ModelSpec.fused_lasso(1.0, 1.0)
     prior = fixed_prior(spec, rng.uniform(0.3, 3.0, p), rng.uniform(0.3, 3.0, p - 1))
-    sum_sq = samplers._sum_of_squares(x, y)
     exact = Exact(x, y, to_dense(prior))
     for v in rng.standard_normal((3, p)):
-        assert rel_err(sum_sq(v, prior), exact.s(v)) < 1e-13
+        assert rel_err(samplers._sum_of_squares(x, y, v, prior), exact.s(v)) < 1e-13
 
 
 @pytest.mark.parametrize("model", ["group", "sparse", "fused"])

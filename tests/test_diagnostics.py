@@ -62,6 +62,20 @@ def test_autocorr_errors():
         autocorr(np.arange(3.0), 5)
     with pytest.raises(ValueError, match="non-negative"):
         autocorr(np.arange(200.0), -1)
+    # a lag that is not an integer used to raise numpy's IndexError
+    for lag in (1.5, True):
+        with pytest.raises(ValueError, match="lag must be an integer"):
+            autocorr(np.arange(200.0), lag)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_series_are_rejected(bad):
+    # these used to return nan with two RuntimeWarnings
+    series = np.r_[np.arange(200.0), bad]
+    with pytest.raises(ValueError, match="series must be finite"):
+        ess_univariate(series)
+    with pytest.raises(ValueError, match="series must be finite"):
+        autocorr(series, 1)
 
 
 def test_ess_iid():

@@ -12,7 +12,6 @@ from blockgibbs import _kernels
 
 def test_backend_name_consistent():
     assert blockgibbs.kernel_backend == "numpy"
-    assert _kernels.ig_transform is _kernels.ig_transform_short
 
 
 def test_warm_up_is_idempotent():
@@ -73,7 +72,7 @@ def transform_inputs(draw):
 def test_ig_transform_loop_equals_numpy_exactly(inputs):
     mu, lam, z, u = inputs
     expected = _kernels.ig_transform_numpy(mu, lam, z, u)
-    np.testing.assert_array_equal(_kernels.ig_transform_short(mu, lam, z, u),
+    np.testing.assert_array_equal(_kernels.ig_transform(mu, lam, z, u),
                                   expected)
     np.testing.assert_array_equal(
         _kernels._ig_transform_loop(mu.tolist(), lam, z.tolist(), u.tolist()),
@@ -83,13 +82,13 @@ def test_ig_transform_loop_equals_numpy_exactly(inputs):
     np.testing.assert_array_equal(from_arrays, expected)
 
 
-def test_ig_transform_short_dispatches_on_length(monkeypatch):
+def test_ig_transform_dispatches_on_length(monkeypatch):
     calls = []
     monkeypatch.setattr(_kernels, "ig_transform_numpy",
                         lambda *args: calls.append(args[0].shape[0]))
     for q in (1, _kernels.SHORT_VECTOR_MAX, _kernels.SHORT_VECTOR_MAX + 1, 32):
         ones = np.ones(q)
-        _kernels.ig_transform_short(ones, 1.0, ones, 0.5 * ones)
+        _kernels.ig_transform(ones, 1.0, ones, 0.5 * ones)
     assert calls == [_kernels.SHORT_VECTOR_MAX + 1, 32]
 
 

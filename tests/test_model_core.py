@@ -119,6 +119,23 @@ def test_fused_needs_two_coefficients():
         spec.validate_for(ds)
 
 
+@pytest.mark.parametrize("groups", [[1, 1], np.array([1, 1]), (2,)])
+def test_model_spec_rejects_groups_that_are_not_a_group_structure(groups):
+    # a list or an array used to fail later, with an AttributeError
+    with pytest.raises(ValueError, match="groups must be a GroupStructure"):
+        ModelSpec.group_lasso(1.0, groups)
+    with pytest.raises(ValueError, match="groups must be a GroupStructure"):
+        ModelSpec(ModelKind.FUSED_LASSO, lam1=1.0, lam2=1.0, groups=groups)
+
+
+def test_fused_lasso_ignores_group_sizes():
+    spec = ModelSpec(ModelKind.FUSED_LASSO, lam1=1.0, lam2=1.0, groups=groups_of(3))
+    ds = Dataset(y=np.arange(4.0), x=np.eye(4, 2))
+    spec.validate_for(ds)
+    out = run_chain(KernelKind.TWO_BLOCK, spec, ds, RunConfig(n_iter=5, burn_in=0))
+    assert out.sigma2_draws.shape == (5,)
+
+
 # ---------------------------------------------------------------------------
 # prior precision from the latent scales (the chain's own construction)
 # ---------------------------------------------------------------------------

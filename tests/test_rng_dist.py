@@ -92,6 +92,41 @@ def test_inverse_gaussian_rejects_a_size_that_is_not_a_count(size):
         sample_inverse_gaussian(1.0, 2.0, RngStream(0), size=size)
 
 
+SAMPLERS = {
+    "std_normal": lambda rng, size: sample_std_normal(rng, size),
+    "gamma": lambda rng, size: sample_gamma(2.0, 1.0, rng, size),
+    "student_t": lambda rng, size: sample_student_t(3.0, rng, size),
+    "inverse_gamma": lambda rng, size: sample_inverse_gamma(2.0, 1.0, rng, size),
+    "inverse_gaussian": lambda rng, size: sample_inverse_gaussian(1.0, 2.0, rng, size),
+}
+
+
+@pytest.mark.parametrize("name", SAMPLERS)
+@pytest.mark.parametrize("size", [2.5, True, -1, "3", [2], (2, 2.5), (2, -1)])
+def test_every_sampler_rejects_a_bad_size_with_one_error(name, size):
+    # the siblings of sample_inverse_gaussian used to raise numpy's TypeError
+    with pytest.raises(ValueError, match="size must be None, a non-negative integer"):
+        SAMPLERS[name](RngStream(0), size)
+
+
+@pytest.mark.parametrize("name", SAMPLERS)
+def test_every_sampler_takes_a_shape_tuple(name):
+    draws = SAMPLERS[name](RngStream(4), (2, 3))
+    assert draws.shape == (2, 3)
+    flat = SAMPLERS[name](RngStream(4), 6)
+    assert SAMPLERS[name](RngStream(4), np.int64(6)).tobytes() == flat.tobytes()
+    if name == "inverse_gaussian":  # one vector draw over all the entries
+        assert draws.tobytes() == flat.tobytes()
+    assert SAMPLERS[name](RngStream(4), (0,)).shape == (0,)
+    assert isinstance(SAMPLERS[name](RngStream(4), None), float)
+
+
+@pytest.mark.parametrize("mu", [np.ones((2, 2)), np.ones((20, 2)), np.float64(1.0)])
+def test_inverse_gaussian_vector_rejects_a_mean_that_is_not_1d(mu):
+    with pytest.raises(ValueError, match="mu must be 1-D, got shape"):
+        sample_inverse_gaussian_vector(mu, 1.0, RngStream(0))
+
+
 def test_inverse_gaussian_stress_positivity():
     # extreme parameter corners must stay strictly positive and finite
     for seed, (mu, lam) in enumerate([(1e-6, 1e6), (1e6, 1e-6)]):
@@ -227,6 +262,9 @@ def test_mvn_precision_rejects_non_pd():
     (np.ones(1), np.eye(2), "b length vs precision order: expected length 2, got 1"),
     (np.ones(2), np.ones((2, 3)), "precision columns vs rows: expected length 2, got 3"),
     (np.ones(2), np.ones(2), "precision dimensions: expected length 2, got 1"),
+    # a scalar or a matrix b used to be reported as "expected length 1, got 1"
+    (1.0, [[2.0]], r"b dimensions \(b has shape \(\)\)"),
+    ([[1.0]], [[2.0]], r"b dimensions \(b has shape \(1, 1\)\)"),
 ])
 def test_mvn_precision_rejects_mismatched_shapes(b, precision, match):
     # a longer b used to give a draw of its own length, a shorter one a bare
