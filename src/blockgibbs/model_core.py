@@ -165,7 +165,7 @@ class ModelSpec:
         """Check the spec against the data; the fused lasso ignores `groups`."""
         if self.kind.grouped:
             self.groups.check_covers(dataset.p)
-        if not self.kind.grouped and dataset.p < 2:
+        elif dataset.p < 2:
             raise ValueError("fused lasso needs at least two coefficients (p >= 2)")
 
 
