@@ -49,9 +49,6 @@ from .simgen import (
     Scenario,
     ScenarioSpec,
     SimulatedDataset,
-    gen_extra_wide,
-    gen_scenario1,
-    gen_scenario2,
     standardize_columns,
 )
 

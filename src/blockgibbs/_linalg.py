@@ -1,4 +1,4 @@
-"""Counted Cholesky factorization, other LAPACK/BLAS wrappers, one BLAS thread.
+"""In-place counted Cholesky, other LAPACK/BLAS wrappers, one BLAS thread.
 
 Thin wrappers over the LAPACK/BLAS routines with per-call overhead kept low
 (these sit inside the per-iteration sampler loop). The four routines (`dpotrf`,
@@ -84,18 +84,17 @@ def factorization_count() -> int:
     return _factorizations
 
 
-def cholesky_spd(a: np.ndarray, name: str = "matrix",
-                 overwrite: bool = False) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive definite matrix.
+def cholesky_spd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Lower Cholesky factor of a symmetric positive definite matrix, in place.
 
-    Only the lower triangle of the result is meaningful. Raises
-    FactorizationError naming the offending matrix when `a` is not
-    numerically positive definite. With `overwrite` and a Fortran-ordered
-    `a`, the factor is computed in place and `a` is returned.
+    A Fortran-ordered float64 `a` is overwritten by the factor and returned;
+    a caller that needs its matrix afterwards passes a copy. Only the lower
+    triangle of the result is meaningful. Raises FactorizationError naming
+    the offending matrix when `a` is not numerically positive definite.
     """
     global _factorizations
     _factorizations += 1
-    c, info = _potrf(a, lower=1, clean=0, overwrite_a=int(overwrite))
+    c, info = _potrf(a, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         raise FactorizationError(name, f"LAPACK potrf info={info}")
     return c

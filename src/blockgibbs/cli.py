@@ -4,8 +4,10 @@ Exit codes: 0 success, 2 usage or validation problem, 3 runtime failure
 (an unopenable output too: outputs are opened before the first chain).
 Raw benchmark CSVs carry 17 significant digits (round-trippable); aggregate
 tables carry 4. All seeds are derived from the master seed with fixed spawn
-keys, so repeated invocations reproduce every draw-dependent number exactly
-(wall-time columns are physical measurements and necessarily vary).
+keys; a bench dataset is `ScenarioSpec(...).generate` on the stream of its
+own derived seed. So repeated invocations reproduce every draw-dependent
+number exactly (wall-time columns are physical measurements and necessarily
+vary).
 
 The module exports `main` and `entry` (the command line) and the dataset CSV
 reader and writer; a benchmark grid runs only through `main(["bench", ...])`.
@@ -354,7 +356,6 @@ class BenchGrid:
     The seed of `config` is the master seed every job derives its seeds from.
     """
 
-    scenario: Scenario
     cells: tuple[ScenarioSpec, ...]
     models: tuple[ModelSpec, ...]
     kernels: tuple[KernelKind, ...]
@@ -405,17 +406,17 @@ def _derive_seed(*entropy: int) -> int:
 
 
 def _run_bench_job(job: tuple[BenchGrid, int, int]) -> list[BenchRow]:
-    """One replication: generate the dataset once, run every kernel on it."""
+    """One replication: generate the dataset once from its seed, run every kernel on it."""
     grid, cell_index, rep = job
     cell, model = grid.cells[cell_index], grid.models[cell_index]
     grid_seed = grid.config.seed
     data_seed = _derive_seed(grid_seed, cell_index, rep, 0)
-    sim = ScenarioSpec(grid.scenario, cell.n, cell.p, seed=data_seed).generate()
+    sim = ScenarioSpec(cell.scenario, cell.n, cell.p).generate(RngStream(data_seed))
     rows = []
     for kernel in grid.kernels:
         chain_seed = _derive_seed(grid_seed, cell_index, rep, _CHAIN_KEYS[kernel])
         base = dict(model=model.kind.value, kernel=kernel.value,
-                    scenario=grid.scenario.value, n=cell.n, p=cell.p, rep=rep,
+                    scenario=cell.scenario.value, n=cell.n, p=cell.p, rep=rep,
                     seed=chain_seed)
         try:
             output = run_chain(kernel, model, sim.dataset,
@@ -471,8 +472,8 @@ def _grid_from_args(args) -> BenchGrid:
     cells = _scenario_cells(args.scenario, args.n, args.K, args.p)
     # the models are resolved, and so checked, before any job starts
     models = tuple(_resolve_model(args, cell.groups) for cell in cells)
-    return BenchGrid(scenario=Scenario(args.scenario), cells=cells, models=models,
-                     kernels=tuple(args.kernels), reps=args.reps, config=config)
+    return BenchGrid(cells=cells, models=models, kernels=tuple(args.kernels),
+                     reps=args.reps, config=config)
 
 
 def _write_csv(fh, columns: list[str], rows: list[dict]) -> None:

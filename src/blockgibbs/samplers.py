@@ -291,7 +291,8 @@ def sample_mvn_precision(b: np.ndarray, precision: np.ndarray, sigma2: float,
     """
     _require_positive(sigma2=sigma2)
     b = np.asarray(b, dtype=np.float64)
-    precision = np.asarray(precision, dtype=np.float64)
+    # the copy that the in-place factorization overwrites
+    precision = np.array(precision, dtype=np.float64, order="F")
     if precision.ndim != 2:
         raise DimensionMismatchError("precision dimensions", 2, precision.ndim)
     if precision.shape[0] != precision.shape[1]:
@@ -339,7 +340,7 @@ def _dense_block_sampler(spec: ModelSpec, dataset: Dataset, kernel: KernelKind):
 
     def draw(beta, prior, gen):
         chol = cholesky_spd(add_prior_precision(gram, prior.diag, prior.off, out=a),
-                            "posterior precision", overwrite=True)
+                            "posterior precision")
         u = solve_lower(chol, xty)
         v = solve_lower_t(chol, u) if two_block else beta
         sigma2 = _sigma2_draw(_sum_of_squares(x, y, v, prior), xi, shape, gen)
@@ -373,7 +374,7 @@ def _nspace_block_sampler(spec: ModelSpec, dataset: Dataset, kernel: KernelKind)
         np.multiply(x, sqrt_d, out=xs)
         syrk_lower(xs, m)
         np.add(m_diag, 1.0, out=m_diag)
-        chol = cholesky_spd(m, "n-space matrix I + X D X^T", overwrite=True)
+        chol = cholesky_spd(m, "n-space matrix I + X D X^T")
         if two_block:
             ly = solve_lower(chol, y)
             s = float(ly @ ly)

@@ -1,9 +1,10 @@
 """Synthetic dataset generators for the benchmark scenarios.
 
-`ScenarioSpec` checks the scenario rules and generates the data; the
-`gen_*` functions are shorthands for it. Draw order within each scenario is
-fixed (design matrix, then true coefficients, then noise) so a seed pins the
-whole dataset. The grouped polynomial design is used raw; only the
+`ScenarioSpec(scenario, n, p).generate(rng)` is the one way to make a
+dataset: the spec checks the scenario rules, and the stream it is given is
+the only source of randomness. Draw order within each scenario is fixed
+(design matrix, then true coefficients, then noise) so the stream's seed
+pins the whole dataset. The grouped polynomial design is used raw; only the
 correlated-row design standardizes its columns.
 """
 from __future__ import annotations
@@ -20,9 +21,6 @@ __all__ = [
     "Scenario",
     "ScenarioSpec",
     "SimulatedDataset",
-    "gen_scenario1",
-    "gen_scenario2",
-    "gen_extra_wide",
     "standardize_columns",
 ]
 
@@ -45,15 +43,14 @@ class SimulatedDataset:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One benchmark cell: scenario, dimensions, and seed."""
+    """One benchmark cell: scenario and dimensions."""
 
     scenario: Scenario
     n: int
     p: int
-    seed: int = 0
 
     def __post_init__(self):
-        _require_integers(n=self.n, p=self.p, seed=self.seed)
+        _require_integers(n=self.n, p=self.p)
         if self.n < 1 or self.p < 1:
             raise ValueError("n and p must be positive")
         if self.scenario is Scenario.ADJACENT_SIMILAR:
@@ -73,8 +70,7 @@ class ScenarioSpec:
             return None
         return GroupStructure(np.full(self.p // 5, 5, dtype=np.int64))
 
-    def generate(self, rng: RngStream | None = None) -> SimulatedDataset:
-        rng = RngStream(self.seed) if rng is None else rng
+    def generate(self, rng: RngStream) -> SimulatedDataset:
         if self.scenario is Scenario.ADJACENT_SIMILAR:
             x, beta_star = _adjacent_similar(self.n, self.p, rng)
         else:
@@ -107,7 +103,7 @@ def _grouped_poly(n: int, k: int, n_nonzero: int, rng: RngStream):
 
 
 def _adjacent_similar(n: int, p: int, rng: RngStream):
-    """Design and true coefficients of scenario s2."""
+    """Scenario s2: rows with correlation 0.2, blocks 1 and 3 of p/10 near 1."""
     # one-factor representation of the equicorrelated rows: O(np) memory
     common = rng.generator.standard_normal((n, 1))
     own = rng.generator.standard_normal((n, p))
@@ -117,28 +113,6 @@ def _adjacent_similar(n: int, p: int, rng: RngStream):
     beta_star[:blk] = rng.generator.normal(1.0, 0.1, blk)
     beta_star[2 * blk:3 * blk] = rng.generator.normal(1.0, 0.1, blk)
     return x, beta_star
-
-
-def gen_scenario1(n: int, k: int, rng: RngStream) -> SimulatedDataset:
-    """Grouped polynomial design: p = 5k, first p/5 coefficients are t_2 draws."""
-    return ScenarioSpec(Scenario.GROUPED_POLY, n, 5 * k).generate(rng)
-
-
-def gen_extra_wide(n: int, p: int, rng: RngStream) -> SimulatedDataset:
-    """Grouped polynomial design with exactly 5 nonzero coefficients.
-
-    The `wide` and `tall` scenarios both use it; p is a positive multiple of 5.
-    """
-    return ScenarioSpec(Scenario.EXTRA_WIDE, n, p).generate(rng)
-
-
-def gen_scenario2(n: int, p: int, rng: RngStream) -> SimulatedDataset:
-    """Equicorrelated rows (correlation 0.2), standardized columns.
-
-    The first and third blocks of p/10 coefficients are N(1, 0.1^2) draws;
-    everything else is zero.
-    """
-    return ScenarioSpec(Scenario.ADJACENT_SIMILAR, n, p).generate(rng)
 
 
 def standardize_columns(x: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from blockgibbs import (
     FactorizationError,
     KernelKind,
     ModelSpec,
+    RngStream,
     RunConfig,
     SamplerError,
     map_jobs,
@@ -55,7 +56,7 @@ def caller_at_two_threads():
 
 
 def group_problem(scenario, n, p, seed=3):
-    sim = ScenarioSpec(scenario, n, p, seed=seed).generate()
+    sim = ScenarioSpec(scenario, n, p).generate(RngStream(seed))
     return ModelSpec.group_lasso(1.0, sim.groups), sim.dataset
 
 
@@ -108,7 +109,7 @@ before = [lib.get_threads() for lib in _openblas_controls()]
 digests = {}
 for scenario, n, p in ((Scenario.EXTRA_TALL, 1000, 250),
                        (Scenario.EXTRA_WIDE, 100, 200)):
-    sim = ScenarioSpec(scenario, n, p, seed=3).generate()
+    sim = ScenarioSpec(scenario, n, p).generate(RngStream(3))
     spec = ModelSpec.group_lasso(1.0, sim.groups)
     for kernel in ("2bg", "3bg"):
         out = run_chain(kernel, spec, sim.dataset,

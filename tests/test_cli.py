@@ -21,8 +21,9 @@ from blockgibbs import (
     ModelSpec,
     RngStream,
     SamplerError,
+    Scenario,
+    ScenarioSpec,
     cli,
-    gen_scenario1,
 )
 from blockgibbs.cli import (
     UsageError,
@@ -189,7 +190,7 @@ def test_run_data_exit_code_property(tmp_path, shape, values, bad_cell, ragged,
 
 
 def test_dataset_csv_round_trip(tmp_path):
-    sim = gen_scenario1(7, 2, RngStream(3))
+    sim = ScenarioSpec(Scenario.GROUPED_POLY, 7, 10).generate(RngStream(3))
     path = tmp_path / "sim.csv"
     write_dataset_csv(sim, str(path))
     ds, groups = read_dataset_csv(str(path))
