@@ -76,7 +76,8 @@ def read_dataset_csv(path: str, y_col: int = 0,
     rows: list[list[float]] = []
     sidecar: list[int] | None = None
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports write
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read dataset file: {exc}") from exc

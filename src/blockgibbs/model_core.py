@@ -36,9 +36,12 @@ class ModelKind(str, enum.Enum):
         return self is not ModelKind.FUSED_LASSO
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Response vector and design matrix of a regression problem."""
+    """Response vector and design matrix of a regression problem.
+
+    Compared and hashed by identity, as are the other records holding arrays.
+    """
 
     y: np.ndarray
     x: np.ndarray
@@ -72,7 +75,11 @@ class Dataset:
 
 @dataclass(frozen=True)
 class GroupStructure:
-    """Contiguous grouping of the coefficient vector."""
+    """Contiguous grouping of the coefficient vector.
+
+    Compared and hashed by its (read-only) sizes, so a `ModelSpec` that holds
+    one compares and hashes too.
+    """
 
     group_sizes: np.ndarray
 
@@ -84,10 +91,19 @@ class GroupStructure:
                 or np.any(sizes < 1)):
             raise ValueError(f"group sizes must be a nonempty list of positive "
                              f"integers, got {given.tolist()}")
+        sizes.flags.writeable = False
         object.__setattr__(self, "group_sizes", sizes)
         offsets = np.zeros(sizes.shape[0], dtype=np.int64)
         np.cumsum(sizes[:-1], out=offsets[1:])
         object.__setattr__(self, "offsets", offsets)
+
+    def __eq__(self, other):
+        if not isinstance(other, GroupStructure):
+            return NotImplemented
+        return np.array_equal(self.group_sizes, other.group_sizes)
+
+    def __hash__(self):
+        return hash(tuple(self.group_sizes.tolist()))
 
     @property
     def n_groups(self) -> int:
@@ -169,7 +185,7 @@ class ModelSpec:
             raise ValueError("fused lasso needs at least two coefficients (p >= 2)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainState:
     """The state one Gibbs iteration hands the next, (beta, sigma2): both
     kernels draw the latent scales first, from the incoming beta and sigma2."""

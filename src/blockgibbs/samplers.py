@@ -129,7 +129,7 @@ class RunConfig:
         return (self.n_iter - self.burn_in) // self.thin
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainOutput:
     """Stored draws and run metadata for one chain.
 

@@ -32,7 +32,7 @@ class Scenario(str, enum.Enum):
     EXTRA_TALL = "tall"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulatedDataset:
     """Generated dataset plus the ground truth behind it."""
 

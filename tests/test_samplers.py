@@ -167,6 +167,17 @@ def test_sample_mvn_precision_rejects_order_zero():
         samplers.sample_mvn_precision(np.empty(0), np.empty((0, 0)), 1.0, RngStream(0))
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_sample_mvn_precision_leaves_the_callers_matrix_unchanged(order):
+    # the factorization is in place, on the function's own copy
+    x = np.random.default_rng(21).standard_normal((9, 4))
+    precision = np.array(x.T @ x + np.eye(4), order=order)
+    before = precision.copy(order="K")
+    samplers.sample_mvn_precision(np.ones(4), precision, 1.0, RngStream(0))
+    np.testing.assert_array_equal(precision, before)
+    assert precision.flags[f"{order}_CONTIGUOUS"]
+
+
 def test_sampler_error_carries_iteration_index():
     # zero response with xi = 0 makes the marginal scale non-positive
     ds = Dataset(y=np.zeros(4), x=np.zeros((4, 1)))
