@@ -407,7 +407,7 @@ def _derive_seed(*entropy: int) -> int:
 
 
 def _run_bench_job(job: tuple[BenchGrid, int, int]) -> list[BenchRow]:
-    """One replication: generate the dataset once from its seed, run every kernel on it."""
+    """One replication: generate the dataset once, run every kernel on it."""
     grid, cell_index, rep = job
     cell, model = grid.cells[cell_index], grid.models[cell_index]
     grid_seed = grid.config.seed

@@ -77,8 +77,8 @@ class Dataset:
 class GroupStructure:
     """Contiguous grouping of the coefficient vector.
 
-    Compared and hashed by its (read-only) sizes, so a `ModelSpec` that holds
-    one compares and hashes too.
+    Compared and hashed by its sizes, so a `ModelSpec` that holds one
+    compares and hashes too.
     """
 
     group_sizes: np.ndarray
@@ -91,7 +91,6 @@ class GroupStructure:
                 or np.any(sizes < 1)):
             raise ValueError(f"group sizes must be a nonempty list of positive "
                              f"integers, got {given.tolist()}")
-        sizes.flags.writeable = False
         object.__setattr__(self, "group_sizes", sizes)
         offsets = np.zeros(sizes.shape[0], dtype=np.int64)
         np.cumsum(sizes[:-1], out=offsets[1:])

@@ -678,8 +678,7 @@ def test_bench_deterministic_up_to_timing(tmp_path):
 
 
 # blake2b of the raw CSV of one bench grid (s1, n 20, K 2,3, 2 reps, 300
-# iterations), wall-time columns dropped; generated at commit de058e0, where
-# the dataset seed was still a ScenarioSpec field
+# iterations), wall-time columns dropped; generated at commit de058e0
 BENCH_GRID_DIGEST = ("bd015be3f9c4c682c59d1abb3cd408eb7731ee1cd24943b45740dbaf810b95ff"
                      "ebd5e50a62c5398a7cbee81785857e24d9b09c0fc3bf5a8ba160438ed7d5948b")
 

@@ -141,38 +141,33 @@ def test_fused_lasso_ignores_group_sizes():
 
 
 def test_group_structure_compares_and_hashes_by_its_sizes():
-    # numpy's elementwise == used to make the generated __eq__ raise
     assert GroupStructure([2, 1]) == GroupStructure(np.array([2.0, 1.0]))
     assert GroupStructure([2, 1]) != GroupStructure([1, 2])
     assert GroupStructure([2, 1]) != GroupStructure([2, 1, 1])
     assert GroupStructure([2, 1]) != [2, 1]
     assert hash(GroupStructure([2, 1])) == hash(GroupStructure([2, 1]))
     assert len({GroupStructure([5]), GroupStructure([5]), GroupStructure([4])}) == 2
-    with pytest.raises(ValueError, match="read-only"):
-        GroupStructure([2, 1]).group_sizes[0] = 3
 
 
 def test_model_specs_compare_and_hash_for_every_model():
-    grouped = [ModelSpec.group_lasso(1.0, groups_of(2, 1)),
-               ModelSpec.sparse_group_lasso(1.0, 2.0, groups_of(2, 1)),
-               ModelSpec.fused_lasso(1.0, 2.0)]
-    again = [ModelSpec.group_lasso(1.0, groups_of(2, 1)),
-             ModelSpec.sparse_group_lasso(1.0, 2.0, groups_of(2, 1)),
-             ModelSpec.fused_lasso(1.0, 2.0)]
-    assert grouped == again
-    assert [hash(s) for s in grouped] == [hash(s) for s in again]
+    def specs():
+        return [ModelSpec.group_lasso(1.0, groups_of(2, 1)),
+                ModelSpec.sparse_group_lasso(1.0, 2.0, groups_of(2, 1)),
+                ModelSpec.fused_lasso(1.0, 2.0)]
+
+    assert specs() == specs()
+    assert [hash(s) for s in specs()] == [hash(s) for s in specs()]
+    assert len(set(specs() + specs())) == 3
     assert ModelSpec.group_lasso(1.0, groups_of(2, 1)) != ModelSpec.group_lasso(
         1.0, groups_of(1, 2))
-    assert len(set(grouped + again)) == 3
 
 
 def test_records_holding_arrays_compare_by_identity():
     sim = ScenarioSpec(Scenario.GROUPED_POLY, 6, 5).generate(RngStream(1))
     twin = ScenarioSpec(Scenario.GROUPED_POLY, 6, 5).generate(RngStream(1))
     spec = ModelSpec.group_lasso(1.0, sim.groups)
-    out = run_chain(KernelKind.TWO_BLOCK, spec, sim.dataset, RunConfig(n_iter=3, burn_in=0))
-    again = run_chain(KernelKind.TWO_BLOCK, spec, sim.dataset,
-                      RunConfig(n_iter=3, burn_in=0))
+    out, again = (run_chain(KernelKind.TWO_BLOCK, spec, sim.dataset,
+                            RunConfig(n_iter=3, burn_in=0)) for _ in range(2))
     pairs = [(sim, twin), (sim.dataset, twin.dataset),
              (ChainState(beta=np.zeros(2), sigma2=1.0),
               ChainState(beta=np.zeros(2), sigma2=1.0)), (out, again)]
