@@ -24,6 +24,11 @@ import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
+# Loaded here, before `map_jobs` forks the `bench` workers, so that each
+# worker inherits it: numpy imports it lazily and `import blockgibbs` does
+# not load it, so every forked worker would otherwise pay the import
+# (11-16 ms on a 2-vCPU VM) on its first `_derive_seed`.
+import numpy.random  # noqa: F401
 
 from ._linalg import blas_libraries
 from .diagnostics import MIN_ESS_DRAWS, diagnose

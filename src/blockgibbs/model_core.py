@@ -148,6 +148,7 @@ class ModelSpec:
     groups: GroupStructure | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", ModelKind(self.kind))
         if not (math.isfinite(self.alpha) and math.isfinite(self.xi)
                 and self.alpha >= 0 and self.xi >= 0):
             raise ValueError(f"alpha and xi must be finite and non-negative, "
@@ -224,8 +225,10 @@ def add_prior_precision(gram: np.ndarray, diag: np.ndarray,
     # a view in memory order: the diagonal and the two bands sit at the same
     # flat strides in C and in Fortran order
     flat = out.ravel(order="K")
-    flat[::p + 1] += diag
+    # np.add into each view: `flat[...] += band` would also copy the view onto itself
+    view = flat[::p + 1]
+    np.add(view, diag, out=view)
     if off is not None:
-        flat[1::p + 1] += off
-        flat[p::p + 1] += off
+        for view in (flat[1::p + 1], flat[p::p + 1]):
+            np.add(view, off, out=view)
     return out

@@ -179,7 +179,8 @@ class _DiagonalPrior:
 
     def __init__(self, spec: ModelSpec):
         self._offsets = spec.groups.offsets
-        self._sizes = spec.groups.group_sizes
+        sizes = spec.groups.group_sizes
+        self._index = np.repeat(np.arange(sizes.shape[0]), sizes)  # each entry's group
         if spec.kind is ModelKind.GROUP_LASSO:
             self._lam_sq, self._lam2_sq = spec.lam * spec.lam, None
         else:
@@ -195,7 +196,7 @@ class _DiagonalPrior:
         return scales
 
     def set_scales(self, scales):
-        diag = _kernels.expand_by_group(scales[0], self._sizes)
+        diag = _kernels.expand_by_group(scales[0], self._index)
         self.diag = diag if len(scales) == 1 else diag + scales[1]
 
     def quad_form(self, beta) -> float:
@@ -272,10 +273,12 @@ def _beta_draw(chol: np.ndarray, u: np.ndarray, sigma2: float,
                gen: np.random.Generator) -> np.ndarray:
     """Draw from N(A^-1 b, sigma2 A^-1) given A = L L^T and u = L^-1 b.
 
-    L^-T (u + sqrt(sigma2) z) for z = standard_normal(p).
+    L^-T (u + sqrt(sigma2) z) for z = standard_normal(p), formed in z's array.
     """
     z = gen.standard_normal(u.shape[0])
-    return solve_lower_t(chol, u + math.sqrt(sigma2) * z)
+    z *= math.sqrt(sigma2)
+    z += u
+    return solve_lower_t(chol, z)
 
 
 def sample_mvn_precision(b: np.ndarray, precision: np.ndarray, sigma2: float,
@@ -433,8 +436,11 @@ def run_chain(kernel: KernelKind, spec: ModelSpec, dataset: Dataset,
     gen = rng.generator
     prior = _chain_prior(spec)
 
+    burn_in, thin = config.burn_in, config.thin
     sigma2_draws = np.empty(config.n_keep)
     beta_draws = np.empty((config.n_keep, dataset.p)) if config.store_beta else None
+    # 0 * x is NaN exactly when x is +-inf or NaN, so one dot product checks beta
+    zeros = np.zeros(dataset.p)
 
     with one_blas_thread() as threads:
         block = _BLOCK_SAMPLERS[update](spec, dataset, kernel)
@@ -446,13 +452,13 @@ def run_chain(kernel: KernelKind, spec: ModelSpec, dataset: Dataset,
                     beta, sigma2 = block(beta, prior, gen)
                 except (ValueError, FactorizationError) as exc:
                     raise SamplerError(it, str(exc)) from exc
-                if not (math.isfinite(sigma2) and np.isfinite(beta).all()):
+                if not (math.isfinite(sigma2) and math.isfinite(zeros.dot(beta))):
                     raise SamplerError(it, "non-finite draw")
-                k = it - config.burn_in
-                if k >= 0 and k % config.thin == config.thin - 1:
-                    sigma2_draws[k // config.thin] = sigma2
+                k = it - burn_in
+                if k >= 0 and k % thin == thin - 1:
+                    sigma2_draws[k // thin] = sigma2
                     if beta_draws is not None:
-                        beta_draws[k // config.thin] = beta
+                        beta_draws[k // thin] = beta
             wall = time.perf_counter() - t0
 
     return ChainOutput(sigma2_draws=sigma2_draws, beta_draws=beta_draws,
@@ -469,7 +475,7 @@ def map_jobs(worker, items, jobs: int = 1) -> list:
     forked under `one_blas_thread()` and inherit its one BLAS thread, so
     their chains' scopes make no OpenBLAS call (see `_linalg`). They also
     inherit every module loaded before the fork, which is why `diagnostics`
-    imports numpy.fft and numpy.ma up front. The process pool is imported
+    imports numpy.fft and numpy.ma, and `cli` numpy.random, up front. The process pool is imported
     only when `jobs > 1`, so `import blockgibbs` and serial runs skip it.
     """
     if jobs <= 1:

@@ -50,6 +50,7 @@ class ScenarioSpec:
     p: int
 
     def __post_init__(self):
+        object.__setattr__(self, "scenario", Scenario(self.scenario))
         _require_integers(n=self.n, p=self.p)
         if self.n < 1 or self.p < 1:
             raise ValueError("n and p must be positive")

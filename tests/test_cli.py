@@ -961,6 +961,18 @@ def test_bench_unopenable_output_exits_3_before_any_job(tmp_path, monkeypatch, c
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
+def test_cli_loads_numpy_random_before_bench_workers_fork():
+    # each forked bench worker derives its seeds through numpy.random, which
+    # numpy imports lazily; `import blockgibbs` alone does not load it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, blockgibbs; print('numpy.random' in sys.modules); "
+            "from blockgibbs import cli; print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.split() == ["False", "True"]
+
+
 @pytest.mark.parametrize("module", ["blockgibbs", "blockgibbs.cli"])
 def test_module_entry_points_run_the_cli(tmp_path, module):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

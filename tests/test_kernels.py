@@ -92,6 +92,14 @@ def test_ig_transform_dispatches_on_length(monkeypatch):
     assert calls == [_kernels.SHORT_VECTOR_MAX + 1, 32]
 
 
+@pytest.mark.parametrize("q", [1, _kernels.SHORT_VECTOR_MAX])
+def test_ig_transform_loop_returns_a_float64_array_of_the_input_length(q):
+    rng = np.random.default_rng(q)
+    mu, z, u = rng.uniform(0.1, 3.0, q), rng.standard_normal(q), rng.random(q)
+    out = _kernels._ig_transform_loop(mu.tolist(), 2.0, z.tolist(), u.tolist())
+    assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == (q,)
+
+
 def test_ig_transform_infinite_mean_zero_uniform_rejects():
     # u * (inf + x) is nan at u = 0, so the draw takes the mu^2 / x branch
     mu = np.array([np.inf, np.inf])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockgibbs import (
     ChainState,
@@ -140,6 +142,18 @@ def test_fused_lasso_ignores_group_sizes():
     assert out.sigma2_draws.shape == (5,)
 
 
+def test_model_spec_converts_a_string_kind():
+    # a string kind used to raise AttributeError on `kind.penalties`
+    g = groups_of(2, 1)
+    assert ModelSpec("group-lasso", lam=1.0, groups=g) == ModelSpec.group_lasso(1.0, g)
+    assert ModelSpec("group-lasso", lam=1.0, groups=g).kind is ModelKind.GROUP_LASSO
+    fused = ModelSpec("fused-lasso", lam1=1.0, lam2=2.0)
+    assert fused == ModelSpec.fused_lasso(1.0, 2.0)
+    assert fused.kind is ModelKind.FUSED_LASSO
+    with pytest.raises(ValueError, match="not a valid ModelKind"):
+        ModelSpec("ridge", lam=1.0)
+
+
 def test_group_structure_compares_and_hashes_by_its_sizes():
     assert GroupStructure([2, 1]) == GroupStructure(np.array([2.0, 1.0]))
     assert GroupStructure([2, 1]) != GroupStructure([1, 2])
@@ -198,6 +212,19 @@ def fused_prior(tau2, omega2):
 def test_group_cov_repeats_by_group():
     d = 1.0 / group_prior([4.0, 9.0], 2, 1)
     assert d.tolist() == [4.0, 4.0, 9.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=40),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_group_prior_expands_through_its_index_like_repeat(sizes, seed):
+    # the chain's prior expands the group scales through an index array built
+    # once per chain; it must equal np.repeat by the group sizes exactly
+    values = np.random.default_rng(seed).uniform(0.1, 10.0, len(sizes))
+    spec = ModelSpec.group_lasso(1.0, GroupStructure(sizes))
+    diag = fixed_prior(spec, values).diag
+    expected = np.repeat(values, sizes)
+    assert diag.dtype == expected.dtype and diag.tobytes() == expected.tobytes()
 
 
 def test_group_cov_identity_case():

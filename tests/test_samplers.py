@@ -651,6 +651,37 @@ def test_one_iteration_chain_takes_the_nspace_update(monkeypatch, kernel):
     assert new.beta.shape == (ds.p,) and new.sigma2 > 0.0
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("update", ["dense", "nspace"])
+@pytest.mark.parametrize("kernel", [TWO, THREE])
+def test_non_finite_beta_is_reported_with_its_iteration(monkeypatch, kernel, update, bad):
+    # the solve that makes beta returns one non-finite entry in iteration 2;
+    # sigma2 is drawn before it and stays finite, so only the check on beta
+    # can catch it
+    ds, spec = (small_group_problem() if update == "dense"
+                else wide_group_problem(5, "group")[:2])
+    sigma2_draws = []
+    real_sigma2_draw, real_solve = samplers._sigma2_draw, samplers.solve_lower_t
+
+    def counting_sigma2_draw(*args):
+        sigma2_draws.append(real_sigma2_draw(*args))
+        return sigma2_draws[-1]
+
+    def poisoned_solve(chol, b):
+        x = real_solve(chol, b)
+        if len(sigma2_draws) == 3:  # after iteration 2's sigma2 draw
+            x[0] = bad
+        return x
+
+    monkeypatch.setattr(samplers, "_sigma2_draw", counting_sigma2_draw)
+    monkeypatch.setattr(samplers, "solve_lower_t", poisoned_solve)
+    with pytest.raises(SamplerError, match="iteration 2: non-finite draw") as info:
+        run_chain(kernel, spec, ds, RunConfig(n_iter=10, burn_in=0, seed=6))
+    assert info.value.iteration == 2
+    assert len(sigma2_draws) == 3 and all(map(math.isfinite, sigma2_draws))
+    assert samplers._block_update(spec, ds) == update
+
+
 def _square(v):
     return v * v
 

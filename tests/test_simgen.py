@@ -133,6 +133,24 @@ def test_scenario_spec_validation_and_dispatch():
         ScenarioSpec(Scenario.GROUPED_POLY, n=12, p=10, seed=3)
 
 
+def test_scenario_spec_converts_a_string_scenario():
+    # a string scenario used to raise AttributeError on `scenario.value`
+    with pytest.raises(ValueError, match="divisible by 5"):
+        ScenarioSpec("s1", 10, 7)
+    assert ScenarioSpec("s1", 10, 5).scenario is S1
+    with pytest.raises(ValueError, match="not a valid Scenario"):
+        ScenarioSpec("s9", 10, 5)
+
+
+def test_string_s2_generates_scenario_s2():
+    # a string "s2" used to make the grouped wide/tall design, in groups of five
+    sim = ScenarioSpec("s2", 10, 20).generate(RngStream(0))
+    ref = ScenarioSpec(S2, 10, 20).generate(RngStream(0))
+    assert sim.groups is None
+    np.testing.assert_array_equal(sim.dataset.x, ref.dataset.x)
+    np.testing.assert_array_equal(sim.beta_star, ref.beta_star)
+
+
 @pytest.mark.parametrize("field,value", [("n", 10.5), ("n", 10.0), ("p", 10.0),
                                          ("p", True), ("n", "10")])
 def test_scenario_spec_rejects_non_integral_fields(field, value):
