@@ -29,11 +29,9 @@ from .model_core import (
 )
 from .rng_dist import (
     RngStream,
-    sample_gamma,
     sample_inverse_gamma,
     sample_inverse_gaussian,
     sample_inverse_gaussian_vector,
-    sample_std_normal,
     sample_student_t,
 )
 from .samplers import (

@@ -10,7 +10,7 @@ number exactly (wall-time columns are physical measurements and necessarily
 vary).
 
 The module exports `main` and `entry` (the command line) and the dataset CSV
-reader and writer; a benchmark grid runs only through `main(["bench", ...])`.
+reader; a benchmark grid runs only through `main(["bench", ...])`.
 """
 from __future__ import annotations
 
@@ -36,9 +36,9 @@ from .errors import BlockGibbsError
 from .model_core import Dataset, GroupStructure, ModelKind, ModelSpec, check_penalty
 from .rng_dist import RngStream
 from .samplers import ChainOutput, KernelKind, RunConfig, map_jobs, run_chain
-from .simgen import Scenario, ScenarioSpec, SimulatedDataset
+from .simgen import Scenario, ScenarioSpec
 
-__all__ = ["main", "entry", "read_dataset_csv", "write_dataset_csv"]
+__all__ = ["main", "entry", "read_dataset_csv"]
 
 
 class UsageError(ValueError):
@@ -127,19 +127,6 @@ def read_dataset_csv(path: str, y_col: int = 0,
 
     sizes = group_sizes if group_sizes is not None else sidecar
     return dataset, None if sizes is None else GroupStructure(sizes)
-
-
-def write_dataset_csv(data: Dataset | SimulatedDataset, path: str) -> None:
-    """Write a dataset in the CSV schema `read_dataset_csv` accepts."""
-    groups = None
-    if isinstance(data, SimulatedDataset):
-        groups = data.groups
-        data = data.dataset
-    header = ""
-    if groups is not None:
-        header = "groups: " + ",".join(str(int(s)) for s in groups.group_sizes)
-    np.savetxt(path, np.column_stack((data.y, data.x)), fmt="%.17g",
-               delimiter=",", header=header)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +281,7 @@ def _report_dict(output: ChainOutput) -> dict:
         "seed": output.seed,
         "iters": output.config.n_iter,
         "burnin": output.config.burn_in,
+        "thin": output.config.thin,
         "block_update": output.block_update,
         "blas_threads": output.blas_threads,
         "blas_libraries": blas_libraries(),

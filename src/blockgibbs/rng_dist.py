@@ -4,8 +4,8 @@ All draws flow through :class:`RngStream`, a thin wrapper around numpy's
 PCG64 generator. PCG64 has published constants and gives bit-identical
 integer streams across platforms for a fixed seed, which the reproducibility
 tests rely on. Streams for parallel replications are derived by seed
-splitting (`RngStream.spawn` / `RngStream.from_key`), never by sharing a
-stream between consumers.
+splitting (`RngStream.from_key`), never by sharing a stream between
+consumers.
 """
 from __future__ import annotations
 
@@ -18,8 +18,6 @@ from . import _kernels
 
 __all__ = [
     "RngStream",
-    "sample_std_normal",
-    "sample_gamma",
     "sample_student_t",
     "sample_inverse_gamma",
     "sample_inverse_gaussian",
@@ -46,10 +44,6 @@ class RngStream:
         seq = np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in key))
         return cls(seed, _seq=seq)
 
-    def spawn(self, n: int) -> list["RngStream"]:
-        """Split off `n` independent child streams."""
-        return [RngStream(self.seed, _seq=s) for s in self._seq.spawn(n)]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngStream(seed={self.seed}, key={self._seq.spawn_key})"
 
@@ -75,16 +69,6 @@ def _checked_size(size):
             raise ValueError(f"size must be None, a non-negative integer or a "
                              f"tuple of them, got {size!r}")
     return size
-
-
-def sample_std_normal(rng: RngStream, size: int | None = None):
-    return rng.generator.standard_normal(_checked_size(size))
-
-
-def sample_gamma(shape: float, rate: float, rng: RngStream, size: int | None = None):
-    """Gamma draw under the shape/rate convention (mean shape/rate)."""
-    _require_positive(shape=shape, rate=rate)
-    return rng.generator.gamma(shape, 1.0 / rate, _checked_size(size))
 
 
 def sample_student_t(df: float, rng: RngStream, size: int | None = None):

@@ -475,12 +475,16 @@ def map_jobs(worker, items, jobs: int = 1) -> list:
     forked under `one_blas_thread()` and inherit its one BLAS thread, so
     their chains' scopes make no OpenBLAS call (see `_linalg`). They also
     inherit every module loaded before the fork, which is why `diagnostics`
-    imports numpy.fft and numpy.ma, and `cli` numpy.random, up front. The process pool is imported
-    only when `jobs > 1`, so `import blockgibbs` and serial runs skip it.
+    imports numpy.fft and numpy.ma, and `cli` numpy.random, up front. A
+    forking pool starts all its workers at the first job, so it gets no more
+    than `len(items)` of them; the pool is imported only when that is more
+    than one, so `import blockgibbs` and serial runs skip it.
     """
-    if jobs <= 1:
+    items = list(items)
+    workers = min(jobs, len(items))
+    if workers <= 1:
         return [worker(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
 
-    with one_blas_thread(), ProcessPoolExecutor(max_workers=jobs) as pool:
+    with one_blas_thread(), ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, items))

@@ -6,6 +6,8 @@ Run `python tests/compute_oracles.py` to regenerate every derived constant:
   posterior means of sigma2 and beta on the three tiny shrinkage-model
   instances used by the sampler equivalence tests, cross-checked against
   an independent reduction that integrates sigma2 analytically;
+* on the same instances and weights, the exact lag-one autocorrelation of
+  log sigma2 under each kernel (see `lag_one`);
 * the inverse-gamma median used by the distribution tests;
 * batch-means cross-checks of the AR(1) integrated autocorrelation times.
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.special import gammaincinv
+from scipy.special import gammaincinv, polygamma
 
 N_OBS = 6  # rows in every tiny instance; sigma2 | scales has shape n/2 = 3
 
@@ -45,7 +47,10 @@ def group_lasso_2d(n_u: int = 1601, n_v: int = 1601):
     z = simpson(simpson(w, x=v, axis=1), x=u)
     e_sigma2 = simpson(simpson(w * sigma2, x=v, axis=1), x=u) / z
     e_beta = simpson(simpson(w * (1.0 / a), x=v, axis=1), x=u) / z
-    return e_sigma2, e_beta
+    # Var[log sigma2] over the joint grid: the lag-one V without the reduction
+    var_log_sigma2 = weighted_variance(
+        v[None, :], w, lambda f: simpson(simpson(f, x=v, axis=1), x=u))
+    return e_sigma2, e_beta, var_log_sigma2
 
 
 def group_lasso_1d(n_u: int = 200_001):
@@ -59,7 +64,7 @@ def group_lasso_1d(n_u: int = 200_001):
     z = simpson(w, x=u)
     e_sigma2 = simpson(w * (s / 2.0) / (N_OBS / 2.0 - 1.0), x=u) / z
     e_beta = simpson(w * (1.0 / a), x=u) / z
-    return e_sigma2, e_beta
+    return e_sigma2, e_beta, weighted_variance(np.log(s / 2.0), w, lambda f: simpson(f, x=u))
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +86,14 @@ def sparse_group_2d(n_pts: int = 2401):
     log_w = (0.5 * u[:, None] + 0.5 * g[None, :] - 0.5 * (tau2 + gamma2)
              - 0.5 * np.log(a) - (N_OBS / 2.0) * np.log(s / 2.0))
     w = np.exp(log_w - log_w.max())
-    z = simpson(simpson(w, x=g, axis=1), x=u)
-    e_sigma2 = simpson(simpson(w * (s / 2.0) / 2.0, x=g, axis=1), x=u) / z
-    e_beta = simpson(simpson(w * (1.0 / a), x=g, axis=1), x=u) / z
-    return e_sigma2, e_beta
+
+    def integ(f):
+        return simpson(simpson(f, x=g, axis=1), x=u)
+
+    z = integ(w)
+    e_sigma2 = integ(w * (s / 2.0) / 2.0) / z
+    e_beta = integ(w * (1.0 / a)) / z
+    return e_sigma2, e_beta, weighted_variance(np.log(s / 2.0), w, integ)
 
 
 def sparse_group_3d(n_lat: int = 481, n_v: int = 481):
@@ -143,7 +152,36 @@ def fused_3d(n_pts: int = 301):
 
     z = integ(w)
     e_sigma2 = integ(w * (s / 2.0) / 2.0) / z
-    return e_sigma2, integ(w * m1) / z, integ(w * m2) / z
+    var_log_scale = weighted_variance(np.log(s / 2.0), w, integ)
+    return e_sigma2, integ(w * m1) / z, integ(w * m2) / z, var_log_scale
+
+
+# ---------------------------------------------------------------------------
+# lag-one autocorrelation of log sigma2
+#
+# Both kernels draw sigma2 from an inverse gamma whose shape does not depend
+# on the state: a2 = n/2 + alpha given the scales (2bg), a3 = (n + p)/2 +
+# alpha given beta and the scales (3bg). The pair (sigma2 now, what the next
+# sigma2 draw conditions on) is distributed as the posterior, so the lag-one
+# autocovariance of log sigma2 is the variance of its conditional mean (Liu,
+# Wong & Kong 1994, Biometrika 81(1)) and
+#   rho1 = 1 - psi'(a) / V,   V = Var(log sigma2) = psi'(a2) + Var(log(S/2)),
+# the last variance over the posterior of the scales (alpha = xi = 0 here).
+# ---------------------------------------------------------------------------
+
+def weighted_variance(values, w, integ):
+    """Variance of `values` under the weights `w`, as an integral of squares."""
+    z = integ(w)
+    mean = integ(w * values) / z
+    return integ(w * (values - mean) ** 2) / z
+
+
+def lag_one(var_log_scale: float, p: int):
+    """V and rho1(log sigma2) for 2bg and 3bg on an instance with p coefficients."""
+    trigamma_2bg = polygamma(1, N_OBS / 2.0)
+    trigamma_3bg = polygamma(1, (N_OBS + p) / 2.0)
+    v = trigamma_2bg + var_log_scale
+    return v, 1.0 - trigamma_2bg / v, 1.0 - trigamma_3bg / v
 
 
 # ---------------------------------------------------------------------------
@@ -170,24 +208,33 @@ def ar1_iact_batch_means(phi: float, n: int = 2_000_000, batch: int = 2_000,
 
 
 def main() -> None:
+    var_log_scale = {}
     print("== group lasso p=1 (n=6, X=e1, Y=1, lambda=1, alpha=xi=0) ==")
     for pts in (801, 1601):
-        es, eb = group_lasso_2d(pts, pts)
-        print(f"  2d grid {pts}: E[sigma2]={es:.10f} E[beta]={eb:.10f}")
-    es, eb = group_lasso_1d()
+        es, eb, var_log_sigma2 = group_lasso_2d(pts, pts)
+        print(f"  2d grid {pts}: E[sigma2]={es:.10f} E[beta]={eb:.10f} "
+              f"Var[log sigma2]={var_log_sigma2:.10f}")
+    es, eb, var_log_scale["group"] = group_lasso_1d()
     print(f"  1d cross-check: E[sigma2]={es:.10f} E[beta]={eb:.10f}")
 
     print("== sparse group lasso p=1 (same data, lambda1=lambda2=1) ==")
     for pts in (1201, 2401):
-        es, eb = sparse_group_2d(pts)
-        print(f"  2d grid {pts}: E[sigma2]={es:.10f} E[beta]={eb:.10f}")
+        es, eb, var_log_scale["sparse"] = sparse_group_2d(pts)
+        print(f"  2d grid {pts}: E[sigma2]={es:.10f} E[beta]={eb:.10f} "
+              f"Var[log(S/2)]={var_log_scale['sparse']:.10f}")
     es, eb = sparse_group_3d()
     print(f"  3d cross-check: E[sigma2]={es:.10f} E[beta]={eb:.10f}")
 
     print("== fused lasso p=2 (n=6, stacked I, Y=(1,2,...), lambdas=1) ==")
     for pts in (201, 301):
-        es, eb1, eb2 = fused_3d(pts)
-        print(f"  3d grid {pts}: E[sigma2]={es:.10f} E[beta]=({eb1:.10f}, {eb2:.10f})")
+        es, eb1, eb2, var_log_scale["fused"] = fused_3d(pts)
+        print(f"  3d grid {pts}: E[sigma2]={es:.10f} E[beta]=({eb1:.10f}, {eb2:.10f}) "
+              f"Var[log(S/2)]={var_log_scale['fused']:.10f}")
+
+    print("== lag-one autocorrelation of log sigma2, 1 - psi'(a)/V (finest grids) ==")
+    for name, p in (("group", 1), ("sparse", 1), ("fused", 2)):
+        v, rho_2bg, rho_3bg = lag_one(var_log_scale[name], p)
+        print(f"  {name}: V={v:.10f} rho1 2bg={rho_2bg:.10f} 3bg={rho_3bg:.10f}")
 
     print("== misc ==")
     print(f"  inverse-gamma(2, 2) median: {inverse_gamma_median(2.0, 2.0):.10f}")

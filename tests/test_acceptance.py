@@ -4,7 +4,8 @@ Statistical targets marked as oracle constants were computed by the
 deterministic quadrature / analytic routines in tests/compute_oracles.py
 and frozen here; every tolerance below is fixed up front (4 standard errors
 for distribution moments, 3 Monte Carlo standard errors for chain means,
-stated relative bands for ESS ratios).
+Bartlett standard errors at the level FAMILY_ALPHA for lag-one
+autocorrelations, stated relative bands for ESS ratios).
 
 Run with `pytest tests/test_acceptance.py -v -s` for the detail lines.
 """
@@ -15,6 +16,7 @@ import time
 import numpy as np
 import pytest
 from scipy.signal import lfilter
+from scipy.special import ndtri
 
 from blockgibbs import (
     Dataset,
@@ -34,6 +36,7 @@ from blockgibbs import (
     samplers,
 )
 from blockgibbs.cli import main as cli_main
+from blockgibbs.diagnostics import _autocorrelations
 from block_stubs import block_draw, fixed_prior, frozen_scale_draws, to_dense
 
 # ---------------------------------------------------------------------------
@@ -44,6 +47,17 @@ from block_stubs import block_draw, fixed_prior, frozen_scale_draws, to_dense
 GROUP_ORACLE = {"sigma2": 1.3736014369, "beta": (0.5055942524,)}
 SPARSE_ORACLE = {"sigma2": 1.4325940593, "beta": (0.2696237627,)}
 FUSED_ORACLE = {"sigma2": 1.1963880048, "beta": (0.9446663039, 1.7686355813)}
+
+# lag-one autocorrelation of log sigma2 under (2bg, 3bg) on the same
+# instances: 1 - psi'(a)/V, with V = Var(log sigma2) from the same quadrature
+# (tests/compute_oracles.py, `lag_one`)
+LAG_ONE_ORACLE = {"group": (0.0045941394, 0.1673545685),
+                  "sparse": (0.0024337181, 0.1655474012),
+                  "fused": (0.2940329700, 0.4926503791)}
+
+# family-wise error rate of a test that makes several comparisons; each
+# comparison runs at FAMILY_ALPHA / (number of comparisons) (Bonferroni)
+FAMILY_ALPHA = 0.01
 
 
 def tiny_group_instance():
@@ -167,6 +181,36 @@ def test_criterion_3_kernel_agreement(tiny_chains):
                                    mc_se(three.beta_draws[:, j]))
             assert gap_b < tol_b, f"{name}: kernels disagree on beta[{j}]"
     print("[criterion 3] two- and three-block kernels share the posterior PASS")
+
+
+def bartlett_se_lag_one(rho: np.ndarray, max_lag: int = 100) -> float:
+    """Large-sample standard error of the lag-one autocorrelation (Bartlett):
+    Var = (1/N) sum_j (rho_{j+1} + rho_{j-1} - 2 rho_1 rho_j)^2, j >= 1,
+    from all N autocorrelations `rho` of the series, summed to `max_lag`."""
+    j = np.arange(1, max_lag + 1)
+    terms = rho[j + 1] + rho[j - 1] - 2.0 * rho[1] * rho[j]
+    return math.sqrt(float(terms @ terms) / rho.size)
+
+
+@pytest.mark.slow
+def test_lag_one_identity_on_tiny_instances(tiny_chains):
+    # each kernel's sigma2 draw has a state-free inverse-gamma shape, so
+    # rho1(log sigma2) is exact (LAG_ONE_ORACLE); the tolerance is set in
+    # advance: Bartlett's standard error at FAMILY_ALPHA over the six chains
+    # (about 0.007 for 200,000 draws, against a 2bg-3bg gap of 0.16-0.20)
+    cases, outputs, _ = tiny_chains
+    z = ndtri(1.0 - FAMILY_ALPHA / (2 * 2 * len(cases)))
+    for name in cases:
+        for kernel, predicted in zip((KernelKind.TWO_BLOCK, KernelKind.THREE_BLOCK),
+                                     LAG_ONE_ORACLE[name]):
+            # every lag of the estimator `autocorr` and `diagnose` use
+            rho = _autocorrelations(np.log(outputs[(name, kernel)].sigma2_draws), 2,
+                                    "autocorrelation")
+            rho1, tol = rho[1], z * bartlett_se_lag_one(rho)
+            print(f"[lag one] {name}/{kernel.value}: rho1(log s2) {rho1:.4f}, "
+                  f"exact {predicted:.4f} (tol {tol:.4f})")
+            assert abs(rho1 - predicted) < tol, f"{name}/{kernel.value} lag-one"
+    print("[lag one] every kernel's lag-one autocorrelation matches its exact value PASS")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from blockgibbs import (
-    Dataset,
     DimensionMismatchError,
     GroupStructure,
     ModelKind,
@@ -30,7 +29,6 @@ from blockgibbs.cli import (
     UsageError,
     main,
     read_dataset_csv,
-    write_dataset_csv,
 )
 
 
@@ -205,9 +203,13 @@ def test_run_data_exit_code_property(tmp_path, shape, values, bad_cell, ragged,
 
 
 def test_dataset_csv_round_trip(tmp_path):
+    # 17 significant digits read back exactly, and the `# groups:` line
+    # gives the group sizes
     sim = ScenarioSpec(Scenario.GROUPED_POLY, 7, 10).generate(RngStream(3))
     path = tmp_path / "sim.csv"
-    write_dataset_csv(sim, str(path))
+    np.savetxt(path, np.column_stack((sim.dataset.y, sim.dataset.x)), fmt="%.17g",
+               delimiter=",", header="groups: 5,5")
+    assert path.read_text().startswith("# groups: 5,5\n")
     ds, groups = read_dataset_csv(str(path))
     np.testing.assert_array_equal(ds.y, sim.dataset.y)
     np.testing.assert_array_equal(ds.x, sim.dataset.x)
@@ -219,7 +221,7 @@ def test_dataset_csv_round_trip(tmp_path):
 # ---------------------------------------------------------------------------
 
 RUN_REPORT_KEYS = {
-    "model", "kernel", "n", "p", "seed", "iters", "burnin", "block_update",
+    "model", "kernel", "n", "p", "seed", "iters", "burnin", "thin", "block_update",
     "blas_threads", "blas_libraries", "rho1", "ess",
     "wall_time_seconds", "ess_per_second", "sigma2_mean", "sigma2_q025",
     "sigma2_q975",
@@ -239,6 +241,7 @@ def test_run_scenario_writes_report(tmp_path):
     assert data["kernel"] == "2bg"
     assert (data["n"], data["p"]) == (30, 10)
     assert data["seed"] == 7 and data["iters"] == 400 and data["burnin"] == 100
+    assert data["thin"] == 1
     assert data["block_update"] == "dense"
     assert math.isfinite(data["rho1"]) and data["ess"] > 0
     assert data["ess_per_second"] > 0 and data["sigma2_mean"] > 0
@@ -258,9 +261,8 @@ def test_run_on_identity_design_csv(tmp_path):
     # CGH-style file: response observed under an identity design
     rng = np.random.default_rng(0)
     y = rng.standard_normal(12)
-    sim = Dataset(y=y, x=np.eye(12))
     path = tmp_path / "cgh.csv"
-    write_dataset_csv(sim, str(path))
+    np.savetxt(path, np.column_stack((y, np.eye(12))), fmt="%.17g", delimiter=",")
     code = main(["run", "--model", "fused-lasso", "--kernel", "3bg",
                  "--data", str(path), "--lambda1", "0.129", "--lambda2", "0.962",
                  "--iters", "300", "--burnin", "50"])
@@ -483,7 +485,8 @@ def test_run_exit_code_property(model, kernel, scenario, ns, dim, hyper, bad,
     if len(ns) > 1 or groups is not None:
         assert code == 2
     if code == 0:
-        assert json.loads(out.getvalue())["iters"] == iters
+        report = json.loads(out.getvalue())
+        assert (report["iters"], report["thin"]) == (iters, thin)
 
 
 def test_run_bad_flag_exits_2():

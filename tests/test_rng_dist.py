@@ -6,12 +6,10 @@ import pytest
 from blockgibbs import (
     DimensionMismatchError,
     RngStream,
-    sample_gamma,
     sample_inverse_gamma,
     sample_inverse_gaussian,
     sample_inverse_gaussian_vector,
     sample_mvn_precision,
-    sample_std_normal,
     sample_student_t,
 )
 
@@ -22,26 +20,17 @@ INV_GAMMA_2_2_MEDIAN = 1.1916486948
 
 def test_same_seed_same_draws():
     a, b = RngStream(99), RngStream(99)
-    np.testing.assert_array_equal(sample_std_normal(a, 64), sample_std_normal(b, 64))
+    np.testing.assert_array_equal(a.generator.standard_normal(64),
+                                  b.generator.standard_normal(64))
     np.testing.assert_array_equal(
         sample_inverse_gaussian(2.0, 3.0, a, size=64),
         sample_inverse_gaussian(2.0, 3.0, b, size=64))
 
 
-def test_spawned_streams_are_distinct_but_reproducible():
-    children = RngStream(5).spawn(3)
-    again = RngStream(5).spawn(3)
-    for c, d in zip(children, again):
-        np.testing.assert_array_equal(sample_std_normal(c, 8), sample_std_normal(d, 8))
-    x = sample_std_normal(RngStream(5).spawn(2)[0], 8)
-    y = sample_std_normal(RngStream(5).spawn(2)[1], 8)
-    assert not np.array_equal(x, y)
-
-
 def test_from_key_is_deterministic():
-    x = sample_std_normal(RngStream.from_key(7, 1, 2), 16)
-    y = sample_std_normal(RngStream.from_key(7, 1, 2), 16)
-    z = sample_std_normal(RngStream.from_key(7, 1, 3), 16)
+    x = RngStream.from_key(7, 1, 2).generator.standard_normal(16)
+    y = RngStream.from_key(7, 1, 2).generator.standard_normal(16)
+    z = RngStream.from_key(7, 1, 3).generator.standard_normal(16)
     np.testing.assert_array_equal(x, y)
     assert not np.array_equal(x, z)
 
@@ -93,8 +82,6 @@ def test_inverse_gaussian_rejects_a_size_that_is_not_a_count(size):
 
 
 SAMPLERS = {
-    "std_normal": lambda rng, size: sample_std_normal(rng, size),
-    "gamma": lambda rng, size: sample_gamma(2.0, 1.0, rng, size),
     "student_t": lambda rng, size: sample_student_t(3.0, rng, size),
     "inverse_gamma": lambda rng, size: sample_inverse_gamma(2.0, 1.0, rng, size),
     "inverse_gaussian": lambda rng, size: sample_inverse_gaussian(1.0, 2.0, rng, size),
@@ -150,7 +137,7 @@ def test_inverse_gaussian_vector_limit_branch():
 
 
 # ---------------------------------------------------------------------------
-# inverse-gamma, gamma, student-t, normal
+# inverse-gamma, student-t
 # ---------------------------------------------------------------------------
 
 def test_inverse_gamma_mean():
@@ -177,12 +164,6 @@ def test_inverse_gamma_reciprocal_is_gamma():
     assert abs(recip.mean() - a / b) < 4 * math.sqrt(a / b ** 2 / n)
 
 
-def test_gamma_mean():
-    n = 100_000
-    draws = sample_gamma(2.0, 2.0, RngStream(7), size=n)
-    assert abs(draws.mean() - 1.0) < 4 * math.sqrt(0.5 / n)
-
-
 def test_student_t_median():
     n = 100_000
     draws = sample_student_t(2.0, RngStream(8), size=n)
@@ -191,17 +172,8 @@ def test_student_t_median():
     assert abs(np.median(draws)) < 4 * se
 
 
-def test_std_normal_skewness():
-    n = 100_000
-    draws = sample_std_normal(RngStream(9), size=n)
-    skew = np.mean((draws - draws.mean()) ** 3) / draws.std() ** 3
-    assert abs(skew) < 4 * math.sqrt(6.0 / n)
-
-
 def test_positive_params_required():
     rng = RngStream(0)
-    with pytest.raises(ValueError):
-        sample_gamma(-1.0, 1.0, rng)
     with pytest.raises(ValueError):
         sample_inverse_gamma(1.0, 0.0, rng)
     with pytest.raises(ValueError):

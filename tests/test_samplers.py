@@ -690,3 +690,23 @@ def test_map_jobs_preserves_order():
     items = list(range(20))
     assert map_jobs(_square, items, jobs=1) == [v * v for v in items]
     assert map_jobs(_square, items, jobs=2) == [v * v for v in items]
+
+
+def test_map_jobs_starts_no_more_workers_than_items(monkeypatch):
+    # a forking pool starts all max_workers processes at the first job, so
+    # 2 items at jobs=4 get 2 workers and 1 item gets no pool at all
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert map_jobs(_square, [3, 4], jobs=4) == [9, 16]
+    assert sizes == [2]
+    assert map_jobs(_square, [5], jobs=4) == [25]
+    assert map_jobs(_square, iter([6, 7]), jobs=4) == [36, 49]
+    assert sizes == [2, 2]
