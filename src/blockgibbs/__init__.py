@@ -39,7 +39,6 @@ from .samplers import (
     KernelKind,
     RunConfig,
     initial_chain_state,
-    map_jobs,
     run_chain,
     sample_mvn_precision,
 )

@@ -27,7 +27,7 @@ found once per process from `/proc/self/maps` and driven through ctypes;
 where none is found, the block runs under the host's setting and the count
 reads "unknown". Only a copy whose count is not already 1 is set: OpenBLAS
 shuts its thread pool down in a forked child, and any `set_num_threads` call
-there restarts a pool whose idle threads spin, so `map_jobs` forks its
+there restarts a pool whose idle threads spin, so `cli.map_jobs` forks its
 workers inside the scope and their own scopes make no call.
 """
 from __future__ import annotations

@@ -24,18 +24,19 @@ import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-# Loaded here, before `map_jobs` forks the `bench` workers, so that each
-# worker inherits it: numpy imports it lazily and `import blockgibbs` does
-# not load it, so every forked worker would otherwise pay the import
-# (11-16 ms on a 2-vCPU VM) on its first `_derive_seed`.
+# Loaded before `map_jobs` forks the `bench` workers, which inherit them: numpy
+# loads them lazily and `import blockgibbs` does not, so each worker would pay
+# some 30 ms for them (seeds, the ESS, np.quantile's np.unique) in its first job.
+import numpy.fft  # noqa: F401
+import numpy.ma  # noqa: F401
 import numpy.random  # noqa: F401
 
-from ._linalg import blas_libraries
+from ._linalg import blas_libraries, one_blas_thread
 from .diagnostics import MIN_ESS_DRAWS, diagnose
 from .errors import BlockGibbsError
 from .model_core import Dataset, GroupStructure, ModelKind, ModelSpec, check_penalty
 from .rng_dist import RngStream
-from .samplers import ChainOutput, KernelKind, RunConfig, map_jobs, run_chain
+from .samplers import ChainOutput, KernelKind, RunConfig, run_chain
 from .simgen import Scenario, ScenarioSpec
 
 __all__ = ["main", "entry", "read_dataset_csv"]
@@ -423,6 +424,31 @@ def _run_bench_job(job: tuple[BenchGrid, int, int]) -> list[BenchRow]:
             rows.append(BenchRow(**base, status="error",
                                  error=str(exc).replace("\n", " ")))
     return rows
+
+
+def map_jobs(worker, items, jobs: int = 1) -> list:
+    """Run `worker` over `items` in at most `jobs` forked processes, in order.
+
+    The workers are forked whatever the platform's default start method:
+    forked under `one_blas_thread()`, they inherit its one BLAS thread (see
+    `_linalg`) and the modules preloaded above. A forking pool starts all its
+    workers at once, so it gets at most `len(items)`, and it is imported only
+    when that is more than one. A dead worker process raises `BlockGibbsError`.
+    """
+    items = list(items)
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        return [worker(item) for item in items]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    fork = multiprocessing.get_context("fork")
+    with one_blas_thread(), ProcessPoolExecutor(workers, mp_context=fork) as pool:
+        try:
+            return list(pool.map(worker, items))
+        except BrokenProcessPool as exc:
+            raise BlockGibbsError(f"a bench worker process died: {exc}") from exc
 
 
 def _aggregate(rows: list[BenchRow]) -> list[dict]:

@@ -11,12 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-# Loaded here, before `map_jobs` forks its workers, so that each worker
-# inherits them: numpy imports both lazily, and `np.quantile` in `summarize`
-# reaches numpy.ma (through np.unique), which would otherwise cost every
-# forked worker about 20 ms on its first diagnosis.
-import numpy.fft  # noqa: F401
-import numpy.ma  # noqa: F401
 
 from .rng_dist import _require_integers
 from .samplers import ChainOutput
@@ -115,6 +109,8 @@ def summarize(series) -> Summary:
     x = np.asarray(series, dtype=np.float64)
     if x.size == 0:
         raise ValueError("cannot summarize an empty series")
+    if not np.isfinite(x).all():
+        raise ValueError("series must be finite")
     sd = float(np.std(x, ddof=1)) if x.size > 1 else 0.0
     q025, med, q975 = np.quantile(x, [0.025, 0.5, 0.975])
     return Summary(mean=float(x.mean()), sd=sd, q025=float(q025),

@@ -197,8 +197,8 @@ class ChainState:
         beta = np.ascontiguousarray(self.beta, dtype=np.float64)
         if not np.all(np.isfinite(beta)):
             raise ValueError("beta contains non-finite entries")
-        if not self.sigma2 > 0:
-            raise ValueError(f"sigma2 must be > 0, got {self.sigma2}")
+        if not (self.sigma2 > 0 and math.isfinite(self.sigma2)):
+            raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2}")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "sigma2", float(self.sigma2))
 

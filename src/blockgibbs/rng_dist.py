@@ -34,6 +34,7 @@ class RngStream:
     """
 
     def __init__(self, seed: int, _seq: np.random.SeedSequence | None = None):
+        _require_integers(seed=seed)
         self.seed = int(seed)
         self._seq = np.random.SeedSequence(self.seed) if _seq is None else _seq
         self.generator = np.random.Generator(np.random.PCG64(self._seq))
@@ -41,8 +42,8 @@ class RngStream:
     @classmethod
     def from_key(cls, seed: int, *key: int) -> "RngStream":
         """Independent stream identified by (seed, key) without consuming draws."""
-        seq = np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in key))
-        return cls(seed, _seq=seq)
+        _require_integers(seed=seed, **{f"key[{i}]": k for i, k in enumerate(key)})
+        return cls(seed, np.random.SeedSequence(int(seed), spawn_key=tuple(map(int, key))))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngStream(seed={self.seed}, key={self._seq.spawn_key})"

@@ -85,7 +85,6 @@ __all__ = [
     "ChainOutput",
     "run_chain",
     "initial_chain_state",
-    "map_jobs",
     "sample_mvn_precision",
 ]
 
@@ -465,26 +464,3 @@ def run_chain(kernel: KernelKind, spec: ModelSpec, dataset: Dataset,
                        wall_time_seconds=wall, kernel=kernel, model=spec,
                        seed=rng.seed, n=dataset.n, p=dataset.p, config=config,
                        block_update=update, blas_threads=threads)
-
-
-def map_jobs(worker, items, jobs: int = 1) -> list:
-    """Run `worker` over `items`, optionally across processes.
-
-    Results come back in the order of `items` regardless of completion
-    order, so parallel benchmark output stays deterministic. The workers are
-    forked under `one_blas_thread()` and inherit its one BLAS thread, so
-    their chains' scopes make no OpenBLAS call (see `_linalg`). They also
-    inherit every module loaded before the fork, which is why `diagnostics`
-    imports numpy.fft and numpy.ma, and `cli` numpy.random, up front. A
-    forking pool starts all its workers at the first job, so it gets no more
-    than `len(items)` of them; the pool is imported only when that is more
-    than one, so `import blockgibbs` and serial runs skip it.
-    """
-    items = list(items)
-    workers = min(jobs, len(items))
-    if workers <= 1:
-        return [worker(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with one_blas_thread(), ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, items))

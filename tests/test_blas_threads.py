@@ -9,7 +9,6 @@ restarting a BLAS thread pool, and that the chain runs as before, recording
 "unknown", when no OpenBLAS control is found.
 """
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -26,13 +25,12 @@ from blockgibbs import (
     RngStream,
     RunConfig,
     SamplerError,
-    map_jobs,
     run_chain,
     samplers,
 )
 from blockgibbs import _linalg
 from blockgibbs._linalg import _OpenBlas, one_blas_thread
-from blockgibbs.cli import main
+from blockgibbs.cli import main, map_jobs
 from blockgibbs.simgen import Scenario, ScenarioSpec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -272,8 +270,6 @@ def _worker_blas_state(seed):
 
 @needs_openblas
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc")
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="workers inherit the count only when forked")
 def test_map_jobs_workers_run_one_thread_and_one_task(caller_at_two_threads):
     states = map_jobs(_worker_blas_state, [1, 2, 3, 4], jobs=2)
     assert states == [([1] * len(CONTROLS), 1)] * 4

@@ -141,6 +141,12 @@ def test_run_data_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_run_data_y_col_out_of_range_exits_2(tmp_path, capsys):
+    path = write_lines(tmp_path / "d.csv", ["1,2,3", "4,5,6", "7,8,8"])
+    assert main(RUN_DATA + ["--groups", "2", "--data", path, "--y-col", "5"]) == 2
+    assert capsys.readouterr().err == "error: --y-col 5 out of range for 3 columns\n"
+
+
 def test_run_data_with_undiagnosable_draws_exits_3(tmp_path, capsys):
     # a response of 5e-123 on a zero design gives sigma2 draws near 1e-245,
     # whose autocovariances underflow to zero, so ESS is undefined
@@ -840,6 +846,34 @@ def test_bench_bad_kernel_list_exits_2_before_any_job(tmp_path, monkeypatch, cap
     assert not raw.exists() and not agg.exists()
 
 
+def test_bench_without_scenario_exits_2_before_any_job(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "map_jobs", lambda *args, **kw: pytest.fail("a job ran"))
+    argv, raw, agg = bench_args(tmp_path, "s")
+    del argv[argv.index("--scenario"):argv.index("--scenario") + 2]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: bench requires --scenario\n"
+    assert not raw.exists() and not agg.exists()
+
+
+_real_bench_job = cli._run_bench_job
+
+
+def _bench_job_whose_worker_dies(job):
+    if job[2] == 1:  # rep 1: the worker process ends as if killed
+        os._exit(9)
+    return _real_bench_job(job)
+
+
+def test_bench_worker_that_dies_exits_3(tmp_path, monkeypatch, capsys):
+    # the pool's BrokenProcessPool used to escape main with a traceback
+    monkeypatch.setattr(cli, "_run_bench_job", _bench_job_whose_worker_dies)
+    argv, _, _ = bench_args(tmp_path, "dead", extra=["--jobs", "2"])
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: a bench worker process died")
+    assert "Traceback" not in err
+
+
 def test_bench_empty_n_list_exits_2_before_writing(tmp_path, capsys):
     argv, raw, agg = bench_args(tmp_path, "f")
     argv[argv.index("--n") + 1] = ","
@@ -962,18 +996,43 @@ def test_bench_unopenable_output_exits_3_before_any_job(tmp_path, monkeypatch, c
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+# numpy imports these lazily; `cli` loads them before its bench workers fork
+FORK_PRELOADS = ("numpy.fft", "numpy.ma", "numpy.random")
 
 
-def test_cli_loads_numpy_random_before_bench_workers_fork():
-    # each forked bench worker derives its seeds through numpy.random, which
-    # numpy imports lazily; `import blockgibbs` alone does not load it
+def run_fresh_python(code: str) -> str:
+    """The stdout of `code` run in a fresh interpreter that imports from src/."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, blockgibbs; print('numpy.random' in sys.modules); "
-            "from blockgibbs import cli; print('numpy.random' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120).stdout
-    assert out.split() == ["False", "True"]
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
+
+
+def test_import_blockgibbs_leaves_pool_and_preloads_to_cli():
+    # scipy is only the LAPACK/BLAS layer and supplies it without importing
+    # scipy.linalg; the FFT is numpy's; the process pool is imported when a
+    # grid first runs in parallel; only `cli`, whose bench workers inherit
+    # them, loads the three numpy modules
+    unloaded = FORK_PRELOADS + ("multiprocessing", "concurrent.futures.process",
+                                "scipy.fft", "scipy.linalg", "scipy.linalg._flapack",
+                                "scipy.linalg._fblas", "scipy.special")
+    out = run_fresh_python(
+        f"import sys, blockgibbs; print([m for m in {unloaded!r} if m in sys.modules]); "
+        f"from blockgibbs import cli; print([m for m in {FORK_PRELOADS!r} "
+        f"if m not in sys.modules])")
+    assert out.splitlines() == ["[]", "[]"]
+
+
+def test_map_jobs_workers_start_with_the_preloaded_numpy_modules():
+    # in a fresh interpreter only `cli`'s preloads load them, and a worker
+    # has them at its start only if it was forked after they were loaded
+    out = run_fresh_python(
+        "import sys\n"
+        "from blockgibbs.cli import map_jobs\n"
+        "def unloaded(_):\n"
+        f"    return [m for m in {FORK_PRELOADS!r} if m not in sys.modules]\n"
+        "print(map_jobs(unloaded, [0, 1], jobs=2))")
+    assert out.strip() == "[[], []]"
 
 
 @pytest.mark.parametrize("module", ["blockgibbs", "blockgibbs.cli"])

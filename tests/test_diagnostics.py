@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,9 +20,6 @@ from blockgibbs import (
 )
 from blockgibbs import diagnostics
 from blockgibbs.diagnostics import _autocovariances
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-
 
 def ar1(phi: float, n: int, seed: int) -> np.ndarray:
     eps = np.random.default_rng(seed).standard_normal(n)
@@ -66,6 +59,15 @@ def test_autocorr_errors():
     for lag in (1.5, True):
         with pytest.raises(ValueError, match="lag must be an integer"):
             autocorr(np.arange(200.0), lag)
+
+
+@pytest.mark.parametrize("shape", [(200, 2), (2, 200)])
+def test_series_that_are_not_1d_are_rejected(shape):
+    series = np.random.default_rng(3).standard_normal(shape)
+    with pytest.raises(ValueError, match="series must be 1-D"):
+        ess_univariate(series)
+    with pytest.raises(ValueError, match="series must be 1-D"):
+        autocorr(series, 1)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -139,21 +141,6 @@ def test_autocovariances_match_a_scipy_fft_reference(n):
         assert np.max(np.abs(acov - ref)) <= 1e-15 * ref[0]
 
 
-def test_import_leaves_scipy_fft_unloaded():
-    # scipy is only the LAPACK/BLAS layer and supplies it without importing
-    # scipy.linalg; the FFT is numpy's; the process pool is imported when a
-    # grid first runs in parallel; numpy.fft and numpy.ma are loaded before
-    # map_jobs forks, so that its workers inherit them
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    code = ("import sys, blockgibbs; print(sorted(m for m in sys.modules if m in "
-            "('scipy.fft', 'scipy.special', 'scipy.linalg', 'scipy.linalg._flapack', "
-            "'scipy.linalg._fblas', 'concurrent.futures.process'))); "
-            "print(sorted(m for m in ('numpy.ma', 'numpy.fft') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.split("\n")[:2] == ["[]", "['numpy.fft', 'numpy.ma']"]
-
-
 def test_ess_per_second_values():
     assert ess_per_second(900.0, 2.0) == 450.0
     assert ess_per_second(1.0, 1e-3) == pytest.approx(1000.0)
@@ -166,6 +153,18 @@ def test_summarize_small_series():
     s = summarize([1.0, 2.0, 3.0])
     assert s.mean == 2.0
     assert s.median == 2.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_summarize_rejects_a_non_finite_series(bad):
+    # this used to return an all-NaN Summary, while autocorr and the ESS raise
+    with pytest.raises(ValueError, match="series must be finite"):
+        summarize([1.0, bad, 2.0])
+
+
+def test_summarize_rejects_an_empty_series():
+    with pytest.raises(ValueError, match="cannot summarize an empty series"):
+        summarize([])
 
 
 def test_summarize_constant_series():

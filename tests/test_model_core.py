@@ -54,6 +54,27 @@ def test_dataset_rejects_non_finite():
         Dataset(y=np.array([1.0, np.nan]), x=np.ones((2, 1)))
 
 
+@pytest.mark.parametrize("y,x,match", [
+    (np.ones(3), np.ones(3), "design matrix must be 2-D, got ndim=1"),
+    (np.ones((3, 1)), np.ones((3, 2)), "response must be 1-D, got ndim=2"),
+])
+def test_dataset_rejects_a_design_or_response_of_the_wrong_rank(y, x, match):
+    with pytest.raises(ValueError, match=match):
+        Dataset(y=y, x=x)
+
+
+@pytest.mark.parametrize("sigma2", [0.0, -1.0, math.nan, math.inf])
+def test_chain_state_rejects_a_sigma2_that_is_not_finite_and_positive(sigma2):
+    # an infinite sigma2 used to be accepted, and run_chain started from it
+    with pytest.raises(ValueError, match="sigma2 must be finite and > 0"):
+        ChainState(beta=np.zeros(5), sigma2=sigma2)
+
+
+def test_chain_state_rejects_a_non_finite_beta():
+    with pytest.raises(ValueError, match="beta contains non-finite entries"):
+        ChainState(beta=np.array([0.0, math.nan]), sigma2=1.0)
+
+
 def test_group_structure_offsets():
     g = groups_of(2, 3, 1)
     assert g.n_groups == 3
@@ -82,6 +103,8 @@ def test_group_structure_accepts_integral_floats():
 def test_model_spec_requires_penalties():
     with pytest.raises(ValueError, match="lam must be > 0"):
         ModelSpec(ModelKind.GROUP_LASSO, groups=groups_of(1))
+    with pytest.raises(ValueError, match="group-lasso requires a GroupStructure"):
+        ModelSpec(ModelKind.GROUP_LASSO, lam=1.0)
     with pytest.raises(ValueError, match="lam2"):
         ModelSpec.fused_lasso(1.0, 0.0)
     with pytest.raises(ValueError, match="non-negative"):

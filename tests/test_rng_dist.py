@@ -35,6 +35,29 @@ def test_from_key_is_deterministic():
     assert not np.array_equal(x, z)
 
 
+@pytest.mark.parametrize("seed", [2.5, "7", True, None])
+def test_rng_stream_rejects_a_seed_that_is_not_an_integer(seed):
+    # 2.5 used to run as seed 2, and "7" and True were accepted
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        RngStream(seed)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        RngStream.from_key(seed, 1)
+
+
+@pytest.mark.parametrize("key", [(2.5,), (1, "2"), (False,)])
+def test_from_key_rejects_a_key_that_is_not_an_integer(key):
+    # from_key(1, 2.5) used to equal from_key(1, 2)
+    with pytest.raises(ValueError, match=r"key\[\d\] must be an integer"):
+        RngStream.from_key(1, *key)
+
+
+def test_numpy_integer_seeds_and_keys_are_integers():
+    a = RngStream(np.int64(7)).generator.standard_normal(4)
+    np.testing.assert_array_equal(a, RngStream(7).generator.standard_normal(4))
+    b = RngStream.from_key(np.uint64(7), np.int32(1)).generator.standard_normal(4)
+    np.testing.assert_array_equal(b, RngStream.from_key(7, 1).generator.standard_normal(4))
+
+
 # ---------------------------------------------------------------------------
 # inverse-Gaussian
 # ---------------------------------------------------------------------------
@@ -112,6 +135,12 @@ def test_every_sampler_takes_a_shape_tuple(name):
 def test_inverse_gaussian_vector_rejects_a_mean_that_is_not_1d(mu):
     with pytest.raises(ValueError, match="mu must be 1-D, got shape"):
         sample_inverse_gaussian_vector(mu, 1.0, RngStream(0))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_inverse_gaussian_vector_rejects_a_mean_that_is_not_positive(bad):
+    with pytest.raises(ValueError, match="mean parameters must be positive"):
+        sample_inverse_gaussian_vector(np.array([1.0, bad, math.inf]), 1.0, RngStream(0))
 
 
 def test_inverse_gaussian_stress_positivity():

@@ -18,13 +18,13 @@ from blockgibbs import (
     SamplerError,
     factorization_count,
     initial_chain_state,
-    map_jobs,
     run_chain,
     sample_inverse_gaussian_vector,
     samplers,
 )
 from blockgibbs import _kernels
 from blockgibbs._linalg import cholesky_spd, solve_lower
+from blockgibbs.cli import map_jobs
 from blockgibbs.diagnostics import autocorr
 from block_stubs import BasisGenerator, fixed_prior, frozen_scale_draws, read_off_maps
 
@@ -694,15 +694,17 @@ def test_map_jobs_preserves_order():
 
 def test_map_jobs_starts_no_more_workers_than_items(monkeypatch):
     # a forking pool starts all max_workers processes at the first job, so
-    # 2 items at jobs=4 get 2 workers and 1 item gets no pool at all
+    # 2 items at jobs=4 get 2 workers and 1 item gets no pool at all; the
+    # pool forks whatever the platform's default start method
     import concurrent.futures
 
     sizes = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
+        def __init__(self, max_workers=None, mp_context=None, **kwargs):
+            assert mp_context.get_start_method() == "fork"
             sizes.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+            super().__init__(max_workers, mp_context, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     assert map_jobs(_square, [3, 4], jobs=4) == [9, 16]
