@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +143,22 @@ def test_autocovariances_match_a_scipy_fft_reference(n):
         assert acov.tobytes() == ref.tobytes()
     else:
         assert np.max(np.abs(acov - ref)) <= 1e-15 * ref[0]
+
+
+def test_import_leaves_scipy_fft_unloaded():
+    # scipy is only the LAPACK/BLAS layer and supplies it without importing
+    # scipy.linalg; the FFT is numpy's, and `diagnostics` leaves loading
+    # numpy.fft and numpy.ma to `cli`, before its bench workers fork
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    unloaded = ("scipy.fft", "scipy.special", "scipy.linalg", "scipy.linalg._flapack",
+                "scipy.linalg._fblas", "numpy.fft", "numpy.ma")
+    code = (f"import sys, blockgibbs.diagnostics; "
+            f"print([m for m in {unloaded!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.splitlines() == ["[]"]
 
 
 def test_ess_per_second_values():
