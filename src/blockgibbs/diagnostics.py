@@ -101,12 +101,14 @@ class Summary:
 
 
 def summarize(series) -> Summary:
-    """Sample mean/sd plus 2.5%/50%/97.5% quantiles.
+    """Sample mean/sd plus 2.5%/50%/97.5% quantiles of a 1-D series.
 
     Quantiles use numpy's default linear interpolation between order
     statistics; sd uses the ddof=1 convention (0 for a single value).
     """
     x = np.asarray(series, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("series must be 1-D")
     if x.size == 0:
         raise ValueError("cannot summarize an empty series")
     if not np.isfinite(x).all():

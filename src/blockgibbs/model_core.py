@@ -1,13 +1,9 @@
-"""Shrinkage-model data types and the posterior-precision assembly.
+"""Shrinkage-model data types: the data, the groups, the model and the chain state.
 
-Covariance structure conventions:
-
-* group models: the prior covariance of the coefficients is diagonal, so
-  only its diagonal vector is ever built (O(p) memory, never a dense p x p).
-* fused model: the prior *precision* is symmetric tridiagonal and is stored
-  as two bands, the diagonal and the off-diagonal band.
-* Inverse-Gamma(shape a, scale b) means density proportional to
-  x^(-a-1) exp(-b/x) throughout.
+Each model's prior precision Q (diagonal for the group models, tridiagonal
+for the fused lasso) is held by the chain's prior object in `samplers`, the
+one place that knows how Q is stored. Inverse-Gamma(shape a, scale b) means
+density proportional to x^(-a-1) exp(-b/x) throughout.
 """
 from __future__ import annotations
 
@@ -195,40 +191,11 @@ class ChainState:
 
     def __post_init__(self):
         beta = np.ascontiguousarray(self.beta, dtype=np.float64)
+        if beta.ndim != 1:
+            raise ValueError(f"beta must be 1-D, got shape {beta.shape}")
         if not np.all(np.isfinite(beta)):
             raise ValueError("beta contains non-finite entries")
         if not (self.sigma2 > 0 and math.isfinite(self.sigma2)):
             raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2}")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "sigma2", float(self.sigma2))
-
-
-def add_prior_precision(gram: np.ndarray, diag: np.ndarray,
-                        off: np.ndarray | None = None, *,
-                        out: np.ndarray) -> np.ndarray:
-    """X^T X plus a prior precision (diagonal `diag`, optional band `off`) into `out`.
-
-    `out` is a C- or Fortran-contiguous p x p array; the bands are added
-    through strided flat views, so a reused `out` keeps this allocation-free
-    in the sampler loop.
-    """
-    p = gram.shape[0]
-    if out.shape != gram.shape or not (out.flags.c_contiguous
-                                       or out.flags.f_contiguous):
-        raise ValueError("out must be a contiguous array shaped like gram")
-    if diag.shape != (p,):
-        raise DimensionMismatchError("prior precision size vs p", p, np.size(diag))
-    if off is not None and off.shape != (p - 1,):
-        raise DimensionMismatchError("prior precision band size vs p - 1",
-                                     p - 1, np.size(off))
-    np.copyto(out, gram)
-    # a view in memory order: the diagonal and the two bands sit at the same
-    # flat strides in C and in Fortran order
-    flat = out.ravel(order="K")
-    # np.add into each view: `flat[...] += band` would also copy the view onto itself
-    view = flat[::p + 1]
-    np.add(view, diag, out=view)
-    if off is not None:
-        for view in (flat[1::p + 1], flat[p::p + 1]):
-            np.add(view, off, out=view)
-    return out

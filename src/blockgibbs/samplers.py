@@ -30,10 +30,10 @@ data shape:
   0.5 S(v) + xi for S(v) = ||y - X v||^2 + v^T Q v, at the mean
   m = L^-T u, u = L^-1 X^T y (two-block, one more triangular solve) or at
   the incoming beta (three-block), and beta = L^-T (u + sigma z);
-* n-space update (group and sparse group lasso when p > n, where Q is
-  diagonal with D = Q^-1): the n x n matrix I + X D X^T, following
-  Bhattacharya, Chakraborty & Mallick (2016, Biometrika 103(4)). The
-  two-block scale is the sum of squares 0.5 ||L^-1 y||^2 + xi; the
+* n-space update (group and sparse group lasso when p > n): the n x n
+  matrix I + X D X^T for D = Q^-1, which the prior object supplies,
+  following Bhattacharya, Chakraborty & Mallick (2016, Biometrika 103(4)).
+  The two-block scale is the sum of squares 0.5 ||L^-1 y||^2 + xi; the
   three-block scale keeps the O(np) residual of `_sum_of_squares`.
 
 Draw-order contract per iteration (fixed for reproducibility): group scales
@@ -43,7 +43,7 @@ the inverse-Gaussian vector draw of `sample_inverse_gaussian_vector` (a
 normal vector, then a uniform vector). The dense update draws p standard
 normals z for the noise; the n-space update makes one
 standard_normal(p + n) call whose first p values are xi and last n are
-delta, and sets u = sigma sqrt(D) xi, v = X u + sigma delta and
+delta, and sets u = L_Q^-T (sigma xi), v = X u + sigma delta and
 beta = u + D X^T (I + X D X^T)^-1 (y - v).
 """
 from __future__ import annotations
@@ -65,13 +65,7 @@ from ._linalg import (
     syrk_lower,
 )
 from .errors import DimensionMismatchError, FactorizationError, SamplerError
-from .model_core import (
-    ChainState,
-    Dataset,
-    ModelKind,
-    ModelSpec,
-    add_prior_precision,
-)
+from .model_core import ChainState, Dataset, ModelKind, ModelSpec
 from .rng_dist import (
     RngStream,
     _inverse_gaussian_draws,
@@ -204,6 +198,17 @@ class _DiagonalPrior:
             q = float(np.where(beta != 0.0, self.diag, 0.0) @ (beta * beta))
         return q
 
+    def whiten(self, x, out):
+        self._d = d = 1.0 / self.diag
+        self._sqrt_d = np.sqrt(d)
+        return np.multiply(x, self._sqrt_d, out=out)
+
+    def half_cov(self, z, scale):
+        return (scale * self._sqrt_d) * z
+
+    def cov(self, v):
+        return self._d * v
+
 
 class _FusedPrior:
     """Fused lasso: Q = diag(1/tau_j^2) plus, for each difference,
@@ -238,13 +243,38 @@ def _chain_prior(spec: ModelSpec):
     incoming (beta, sigma2) in the draw-order contract's order, sets Q from
     them and returns them; `set_scales(scales)` sets Q from given reciprocal
     scales. Q is held as its diagonal `diag` and its off-diagonal band `off`
-    (None for a diagonal Q), and `quad_form(beta)` gives beta^T Q beta, in
+    (None for a diagonal Q), which only the prior objects and
+    `add_prior_precision` read. `quad_form(beta)` gives beta^T Q beta, in
     which an infinite diagonal entry times a coefficient that the factor
-    holds at exactly 0 counts as 0.
+    holds at exactly 0 counts as 0. A diagonal Q = L_Q L_Q^T gives the n-space
+    update Q^-1: `whiten(x, out)` writes X L_Q^-T into `out` and returns it;
+    `half_cov(z, scale)` = L_Q^-T (scale z) and `cov(v)` = Q^-1 v read what
+    it computed, so they are valid after `whiten` in the same iteration.
     """
     if spec.kind is ModelKind.FUSED_LASSO:
         return _FusedPrior(spec)
     return _DiagonalPrior(spec)
+
+
+def add_prior_precision(gram: np.ndarray, prior, *, out: np.ndarray) -> np.ndarray:
+    """X^T X plus the prior precision Q that `prior` holds, into `out`.
+
+    `out` is a C- or Fortran-contiguous array shaped like `gram`; Q's bands
+    are added through strided flat views, so a reused `out` keeps this
+    allocation-free in the chain loop.
+    """
+    p = gram.shape[0]
+    np.copyto(out, gram)
+    # a view in memory order: the diagonal and the two bands sit at the same
+    # flat strides in C and in Fortran order
+    flat = out.ravel(order="K")
+    # np.add into each view: `flat[...] += band` would also copy the view onto itself
+    view = flat[::p + 1]
+    np.add(view, prior.diag, out=view)
+    if prior.off is not None:
+        for view in (flat[1::p + 1], flat[p::p + 1]):
+            np.add(view, prior.off, out=view)
+    return out
 
 
 def _gamma_shape(spec: ModelSpec, dataset: Dataset, two_block: bool) -> float:
@@ -341,7 +371,7 @@ def _dense_block_sampler(spec: ModelSpec, dataset: Dataset, kernel: KernelKind):
     a = np.empty_like(gram, order="F")
 
     def draw(beta, prior, gen):
-        chol = cholesky_spd(add_prior_precision(gram, prior.diag, prior.off, out=a),
+        chol = cholesky_spd(add_prior_precision(gram, prior, out=a),
                             "posterior precision")
         u = solve_lower(chol, xty)
         v = solve_lower_t(chol, u) if two_block else beta
@@ -352,14 +382,16 @@ def _dense_block_sampler(spec: ModelSpec, dataset: Dataset, kernel: KernelKind):
 
 
 def _nspace_block_sampler(spec: ModelSpec, dataset: Dataset, kernel: KernelKind):
-    """Block update through the n x n matrix I + X D X^T (diagonal priors only).
+    """Block update through the n x n matrix I + X D X^T, D = Q^-1 = L_Q^-T L_Q^-1.
 
-    With D = 1 / prior.diag and L the Cholesky factor of I + X D X^T, the
-    two-block scale is 0.5 ||L^-1 y||^2 + xi and, with xi and delta standard
-    normal, beta = u + D X^T L^-T L^-1 (y - X u - sigma delta) for
-    u = sigma sqrt(D) xi has the dense update's mean and covariance. The
-    matrix is formed by one syrk on X sqrt(D) in an n x p scratch array and
-    factored in place in a Fortran-ordered n x n one; X^T X is never formed.
+    D is read only through the prior object's `whiten`, `half_cov` and `cov`
+    (so far only the diagonal priors have them). With L the Cholesky factor
+    of I + X D X^T, the two-block scale is 0.5 ||L^-1 y||^2 + xi and, with
+    xi and delta standard normal, beta = u + D X^T L^-T L^-1 (y - X u -
+    sigma delta) for u = L_Q^-T (sigma xi) has the dense update's mean and
+    covariance. The matrix is formed by one syrk on X L_Q^-T in an n x p
+    scratch array and factored in place in a Fortran-ordered n x n one;
+    X^T X is never formed.
     """
     two_block = kernel is KernelKind.TWO_BLOCK
     shape = _gamma_shape(spec, dataset, two_block)
@@ -371,10 +403,7 @@ def _nspace_block_sampler(spec: ModelSpec, dataset: Dataset, kernel: KernelKind)
     m_diag = m.ravel(order="K")[::n + 1]
 
     def draw(beta, prior, gen):
-        d = 1.0 / prior.diag
-        sqrt_d = np.sqrt(d)
-        np.multiply(x, sqrt_d, out=xs)
-        syrk_lower(xs, m)
+        syrk_lower(prior.whiten(x, xs), m)
         np.add(m_diag, 1.0, out=m_diag)
         chol = cholesky_spd(m, "n-space matrix I + X D X^T")
         if two_block:
@@ -385,10 +414,10 @@ def _nspace_block_sampler(spec: ModelSpec, dataset: Dataset, kernel: KernelKind)
         sigma2 = _sigma2_draw(s, xi, shape, gen)
         sigma = math.sqrt(sigma2)
         z = gen.standard_normal(p + n)
-        u = (sigma * sqrt_d) * z[:p]
+        u = prior.half_cov(z[:p], sigma)
         v = x @ u + sigma * z[p:]
         w = solve_lower_t(chol, solve_lower(chol, y - v))
-        return u + d * (x.T @ w), sigma2
+        return u + prior.cov(x.T @ w), sigma2
 
     return draw
 

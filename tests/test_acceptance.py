@@ -5,7 +5,8 @@ deterministic quadrature / analytic routines in tests/compute_oracles.py
 and frozen here; every tolerance below is fixed up front (4 standard errors
 for distribution moments, 3 Monte Carlo standard errors for chain means,
 Bartlett standard errors at the level FAMILY_ALPHA for lag-one
-autocorrelations, stated relative bands for ESS ratios).
+autocorrelations on the tiny instances and Student t over seeded chains at
+that level beyond them, stated relative bands for ESS ratios).
 
 Run with `pytest tests/test_acceptance.py -v -s` for the detail lines.
 """
@@ -16,7 +17,7 @@ import time
 import numpy as np
 import pytest
 from scipy.signal import lfilter
-from scipy.special import ndtri
+from scipy.special import ndtri, polygamma, stdtrit
 
 from blockgibbs import (
     Dataset,
@@ -25,6 +26,7 @@ from blockgibbs import (
     ModelSpec,
     RngStream,
     RunConfig,
+    ScenarioSpec,
     autocorr,
     ess_univariate,
     factorization_count,
@@ -211,6 +213,72 @@ def test_lag_one_identity_on_tiny_instances(tiny_chains):
                   f"exact {predicted:.4f} (tol {tol:.4f})")
             assert abs(rho1 - predicted) < tol, f"{name}/{kernel.value} lag-one"
     print("[lag one] every kernel's lag-one autocorrelation matches its exact value PASS")
+
+
+# cells of the lag-one identity at p > 2: (model, scenario, n, p, block update,
+# chains per kernel, kept draws per 2bg chain, per 3bg chain). The 2bg chains
+# of the p = 50 cells carry the power against a wrong gamma shape; every cell
+# catches a kernel that draws sigma2 from the other kernel's conditional.
+LAG_ONE_CELLS = [
+    ("group", "s1", 50, 50, "dense", 20, 8_000, 2_000),
+    ("sparse", "s1", 50, 50, "dense", 20, 8_000, 2_000),
+    ("group", "s1", 100, 200, "nspace", 10, 600, 600),
+    ("sparse", "s1", 100, 200, "nspace", 10, 600, 600),
+    ("fused", "s2", 100, 200, "dense", 10, 600, 600),
+]
+LAG_ONE_BURN_IN = 200
+
+
+def t_statistic(values: np.ndarray, target: float) -> float:
+    """One-sample t statistic of the mean of `values` against `target`."""
+    return (values.mean() - target) / (values.std(ddof=1) / math.sqrt(values.size))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("model,scenario,n,p,update,chains,draws_2bg,draws_3bg",
+                         LAG_ONE_CELLS,
+                         ids=[f"{c[0]}-n{c[2]}-p{c[3]}-{c[4]}" for c in LAG_ONE_CELLS])
+def test_lag_one_identity_at_p_above_two(model, scenario, n, p, update, chains,
+                                         draws_2bg, draws_3bg):
+    # rho1(log sigma2) = 1 - psi'(a) / V holds at any p (LAG_ONE_ORACLE). Over
+    # K seeded chains per kernel, the mean of D = rho1 - (1 - psi'(a) / V) is
+    # t-tested against 0, V being each chain's own sample variance with the
+    # autocorrelation's 1/N denominator, so that D does not depend on the
+    # estimated mean; the mean of (1 - rho1(2bg)) / (1 - rho1(3bg)), chain k
+    # of each kernel paired, is t-tested against psi'(a2) / psi'(a3). Three
+    # comparisons per cell, Bonferroni over every cell at FAMILY_ALPHA.
+    sim = ScenarioSpec(scenario, n, p).generate(RngStream(2026))
+    spec = {"group": lambda: ModelSpec.group_lasso(1.0, sim.groups),
+            "sparse": lambda: ModelSpec.sparse_group_lasso(1.0, 1.0, sim.groups),
+            "fused": lambda: ModelSpec.fused_lasso(1.0, 1.0)}[model]()
+    t_crit = stdtrit(chains - 1, 1.0 - FAMILY_ALPHA / (2 * 3 * len(LAG_ONE_CELLS)))
+    # each kernel's gamma shape a and kept draws per chain
+    runs = {KernelKind.TWO_BLOCK: (0.5 * n + spec.alpha, draws_2bg),
+            KernelKind.THREE_BLOCK: (0.5 * (n + p) + spec.alpha, draws_3bg)}
+    one_minus_rho1 = {}
+    for kernel, (shape, draws) in runs.items():
+        rho1, d = np.empty(chains), np.empty(chains)
+        for k in range(chains):
+            out = run_chain(kernel, spec, sim.dataset,
+                            RunConfig(n_iter=LAG_ONE_BURN_IN + draws,
+                                      burn_in=LAG_ONE_BURN_IN, seed=k))
+            assert out.block_update == update
+            log_s2 = np.log(out.sigma2_draws)
+            rho1[k] = autocorr(log_s2, 1)
+            d[k] = rho1[k] - (1.0 - polygamma(1, shape) / log_s2.var())
+        t_d = t_statistic(d, 0.0)
+        print(f"[lag one] {model} n {n} p {p} {update}/{kernel.value}: rho1(log s2) "
+              f"{rho1.mean():.4f}, mean D {d.mean():+.4f} (t {t_d:+.2f}, "
+              f"bound {t_crit:.2f})")
+        assert abs(t_d) < t_crit, f"{model} p={p} {kernel.value}: lag-one identity"
+        one_minus_rho1[kernel] = 1.0 - rho1
+    ratio = one_minus_rho1[KernelKind.TWO_BLOCK] / one_minus_rho1[KernelKind.THREE_BLOCK]
+    predicted = (polygamma(1, runs[KernelKind.TWO_BLOCK][0])
+                 / polygamma(1, runs[KernelKind.THREE_BLOCK][0]))
+    t_ratio = t_statistic(ratio, predicted)
+    print(f"[lag one] {model} n {n} p {p}: (1 - rho1(2bg)) / (1 - rho1(3bg)) "
+          f"{ratio.mean():.3f}, exact {predicted:.3f} (t {t_ratio:+.2f}) PASS")
+    assert abs(t_ratio) < t_crit, f"{model} p={p}: 2bg/3bg lag-one ratio"
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,9 @@ def test_series_that_are_not_1d_are_rejected(shape):
         ess_univariate(series)
     with pytest.raises(ValueError, match="series must be 1-D"):
         autocorr(series, 1)
+    # summarize used to pool the columns of a matrix of draws into one summary
+    with pytest.raises(ValueError, match="series must be 1-D"):
+        summarize(series)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

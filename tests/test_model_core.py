@@ -18,9 +18,9 @@ from blockgibbs import (
     Scenario,
     ScenarioSpec,
     run_chain,
+    samplers,
 )
 from blockgibbs._linalg import cholesky_spd
-from blockgibbs.model_core import add_prior_precision
 from block_stubs import (
     BasisGenerator,
     block_draw,
@@ -73,6 +73,14 @@ def test_chain_state_rejects_a_sigma2_that_is_not_finite_and_positive(sigma2):
 def test_chain_state_rejects_a_non_finite_beta():
     with pytest.raises(ValueError, match="beta contains non-finite entries"):
         ChainState(beta=np.array([0.0, math.nan]), sigma2=1.0)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (1, 3)])
+def test_chain_state_rejects_a_beta_that_is_not_1d(shape):
+    # a matrix used to be accepted, and only run_chain's length check caught it
+    with pytest.raises(ValueError) as info:
+        ChainState(beta=np.zeros(shape), sigma2=1.0)
+    assert str(info.value) == f"beta must be 1-D, got shape {shape}"
 
 
 def test_group_structure_offsets():
@@ -326,12 +334,15 @@ def test_fused_precision_row_sums_cancel():
 
 
 # ---------------------------------------------------------------------------
-# posterior precision assembly
+# the prior object's Q: X^T X + Q for the dense update, Q^-1 for the n-space one
 # ---------------------------------------------------------------------------
 
 def assemble(ds, prior_inv):
+    """X^T X + diag(prior_inv), Q set by a group lasso prior of one-coefficient groups."""
+    spec = ModelSpec.group_lasso(1.0, GroupStructure(np.ones(ds.p, dtype=np.int64)))
     gram = ds.x.T @ ds.x
-    return add_prior_precision(gram, prior_inv, out=np.empty_like(gram))
+    return samplers.add_prior_precision(gram, fixed_prior(spec, prior_inv),
+                                        out=np.empty_like(gram))
 
 
 def test_assemble_with_zero_design():
@@ -376,8 +387,7 @@ def test_assemble_symmetric_positive_definite():
         gram = ds.x.T @ ds.x
         for model in ("group", "sparse", "fused"):
             prior = random_prior(rng, model, p)
-            a = add_prior_precision(gram, prior.diag, prior.off,
-                                    out=np.empty_like(gram))
+            a = samplers.add_prior_precision(gram, prior, out=np.empty_like(gram))
             np.testing.assert_allclose(a, a.T, atol=1e-12)
             assert np.all(np.linalg.eigvalsh(a) > 0)
 
@@ -396,8 +406,8 @@ def test_add_prior_precision_into_workspace_equals_copy(kind, order):
                 prior = random_prior(rng, model, p)
                 q = to_dense(prior)
                 out = np.full((p, p), np.nan, order=order)
-                a = add_prior_precision(np.asarray(gram, order=order), prior.diag,
-                                        prior.off, out=out)
+                a = samplers.add_prior_precision(np.asarray(gram, order=order), prior,
+                                                 out=out)
                 assert a is out
                 np.testing.assert_array_equal(a, gram.copy() + q)
                 beta = rng.standard_normal(p)
@@ -405,36 +415,35 @@ def test_add_prior_precision_into_workspace_equals_copy(kind, order):
                                                                rel=1e-13)
 
 
-def test_add_prior_precision_rejects_strided_workspace():
-    gram = np.eye(3)
-    with pytest.raises(ValueError, match="contiguous"):
-        add_prior_precision(gram, np.ones(3), out=np.empty((3, 6))[:, ::2])
-    with pytest.raises(ValueError, match="contiguous"):
-        add_prior_precision(gram, np.ones(3), out=np.empty((2, 2)))
-
-
-@pytest.mark.parametrize("diag,off,match", [
-    (np.ones(2), None, "size vs p: expected length 3, got 2"),
-    (np.ones(3), np.ones(3), "band size vs p - 1: expected length 2, got 3"),
-    (np.ones(3), np.ones(1), "band size vs p - 1: expected length 2, got 1"),
-])
-def test_add_prior_precision_rejects_mis_sized_bands(diag, off, match):
-    # rejected before anything is written into the workspace
-    out = np.full((3, 3), 7.0)
-    with pytest.raises(DimensionMismatchError, match=match):
-        add_prior_precision(np.eye(3), diag, off, out=out)
-    assert np.all(out == 7.0)
+@pytest.mark.parametrize("model", MODELS_BY_SHAPE["diagonal"])
+def test_diagonal_prior_supplies_the_inverse_of_q(model):
+    # against the inverse of the dense Q: whiten(X) whiten(X)^T = X Q^-1 X^T,
+    # cov(v) = Q^-1 v, and half_cov(z, scale) has covariance scale^2 Q^-1
+    rng = np.random.default_rng(14)
+    for p in (1, 2, 3, 7):
+        for _ in range(5):
+            prior = random_prior(rng, model, p)
+            q_inv = np.linalg.inv(to_dense(prior))
+            x = rng.standard_normal((4, p))
+            out = np.full_like(x, np.nan)
+            xw = prior.whiten(x, out)
+            assert xw is out
+            np.testing.assert_allclose(xw @ xw.T, x @ q_inv @ x.T, rtol=1e-12)
+            v = rng.standard_normal(p)
+            np.testing.assert_allclose(prior.cov(v), q_inv @ v, rtol=1e-12)
+            scale = rng.uniform(0.5, 2.0)
+            half = np.column_stack([prior.half_cov(e, scale) for e in np.eye(p)])
+            np.testing.assert_allclose(half @ half.T, scale * scale * q_inv,
+                                       rtol=1e-12)
 
 
 def test_cholesky_overwrite_factors_in_place():
     rng = np.random.default_rng(13)
     x = rng.standard_normal((9, 5))
-    gram = np.asfortranarray(x.T @ x)
-    work = np.empty_like(gram, order="F")
-    a = add_prior_precision(gram, np.ones(5), out=work)
+    a = np.asfortranarray(x.T @ x + np.eye(5))
     expected = np.tril(cholesky_spd(a.copy()))
     chol = cholesky_spd(a)
-    assert np.shares_memory(chol, work)
+    assert np.shares_memory(chol, a)
     np.testing.assert_array_equal(np.tril(chol), expected)
 
 
