@@ -37,6 +37,10 @@ class Dataset:
     """Response vector and design matrix of a regression problem.
 
     Compared and hashed by identity, as are the other records holding arrays.
+    `x` and `y` are read-only views of the arrays passed in (of float64,
+    C-ordered copies where those differ). The chains on a dataset share a
+    reduction of them made by the first, so the arrays passed in must not
+    change after a chain has run on it.
     """
 
     y: np.ndarray
@@ -57,8 +61,10 @@ class Dataset:
                 raise ValueError(f"dataset needs {dim} >= 1, got {dim}={size}")
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
             raise ValueError("dataset contains non-finite entries")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "x", x)
+        for name, array in (("y", y), ("x", x)):
+            view = array.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @property
     def n(self) -> int:
@@ -190,9 +196,9 @@ class ChainState:
     sigma2: float
 
     def __post_init__(self):
+        if np.ndim(self.beta) != 1:  # before ascontiguousarray makes a scalar 1-D
+            raise ValueError(f"beta must be 1-D, got shape {np.shape(self.beta)}")
         beta = np.ascontiguousarray(self.beta, dtype=np.float64)
-        if beta.ndim != 1:
-            raise ValueError(f"beta must be 1-D, got shape {beta.shape}")
         if not np.all(np.isfinite(beta)):
             raise ValueError("beta contains non-finite entries")
         if not (self.sigma2 > 0 and math.isfinite(self.sigma2)):

@@ -17,8 +17,10 @@ draw, the prior precision Q and beta^T Q beta) in one object per chain
 `run_chain` is the one chain driver, and `sample_mvn_precision` makes the
 dense update's coefficient draw.
 
-A chain's setup and loop run under `_linalg.one_blas_thread()`, so its draws
-do not depend on the host's BLAS thread count.
+A chain's setup and loop run under `_linalg.one_blas_thread()`, and so does
+the dense update's reduction of a dataset (`_dense_data`), which every dense
+chain on that `Dataset` shares; so the draws do not depend on the host's
+BLAS thread count.
 
 Which matrix is factored is decided once per chain from the model and the
 data shape:
@@ -26,7 +28,7 @@ data shape:
 * dense update (every model when p <= n, the fused lasso at any p): the
   p x p posterior precision A = X^T X + Q = L L^T, with Q the prior
   precision; when n > p, the p + 1 rows of R, the triangular factor of
-  [X y] taken once per chain, stand in for (X, y). Both scales are
+  [X y] taken once per dataset, stand in for (X, y). Both scales are
   0.5 S(v) + xi for S(v) = ||y - X v||^2 + v^T Q v, at the mean
   m = L^-T u, u = L^-1 X^T y (two-block, one more triangular solve) or at
   the incoming beta (three-block), and beta = L^-T (u + sigma z);
@@ -51,6 +53,7 @@ from __future__ import annotations
 import enum
 import math
 import time
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -345,14 +348,44 @@ def sample_mvn_precision(b: np.ndarray, precision: np.ndarray, sigma2: float,
         return _beta_draw(chol, solve_lower(chol, b), sigma2, rng.generator)
 
 
+# The dense update's reduction of each dataset, shared by every chain on it.
+# Datasets compare by identity, and an entry dies with its dataset.
+_DENSE_DATA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _dense_data(dataset: Dataset) -> tuple:
+    """(x, y, X^T X, X^T y) of the dense update, computed once per dataset.
+
+    When n > p, the columns of R from `qr_r` stand in for X and y. X^T X is
+    kept in Fortran order, so that copying it into a chain's scratch array
+    is one contiguous copy. The reduction runs under one BLAS thread with
+    floating-point warnings off, whoever asks first (an overflow surfaces as
+    a failed factorization or a non-finite draw), and its arrays are
+    read-only.
+    """
+    data = _DENSE_DATA.get(dataset)
+    if data is None:
+        with one_blas_thread(), np.errstate(**_QUIET):
+            x, y = dataset.x, dataset.y
+            if dataset.n > dataset.p:
+                r = qr_r(x, y)
+                x, y = r[:, :-1], r[:, -1]
+            data = (x, y, np.asfortranarray(x.T @ x), x.T @ y)
+        for array in data:
+            array.flags.writeable = False
+        # a chain in another thread may have stored the same reduction meanwhile
+        data = _DENSE_DATA.setdefault(dataset, data)
+    return data
+
+
 def _dense_block_sampler(spec: ModelSpec, dataset: Dataset, kernel: KernelKind):
     """Block update through the p x p posterior precision A = X^T X + Q.
 
     Returns `draw(beta, prior, gen) -> (new_beta, sigma2)` for the chain's
-    prior object `prior`. When n > p, the columns of R from `qr_r` stand in
-    for X and y. X^T X is kept in Fortran order, so that copying it into the
-    scratch array, where each iteration assembles the posterior precision
-    and LAPACK factors it in place, is one contiguous copy.
+    prior object `prior`. The data enter through `_dense_data`, shared with
+    every other dense chain on `dataset`; the chain's own setup is the
+    scratch array where each iteration assembles the posterior precision
+    and LAPACK factors it in place.
 
     Both scales are 0.5 S(v) + xi, at v = m (two-block) or at the incoming
     beta (three-block); the kernels differ only there and in the gamma
@@ -362,12 +395,7 @@ def _dense_block_sampler(spec: ModelSpec, dataset: Dataset, kernel: KernelKind):
     two_block = kernel is KernelKind.TWO_BLOCK
     shape = _gamma_shape(spec, dataset, two_block)
     xi = spec.xi
-    x, y = dataset.x, dataset.y
-    if dataset.n > dataset.p:
-        r = qr_r(x, y)
-        x, y = r[:, :-1], r[:, -1]
-    gram = np.asfortranarray(x.T @ x)
-    xty = x.T @ y
+    x, y, gram, xty = _dense_data(dataset)
     a = np.empty_like(gram, order="F")
 
     def draw(beta, prior, gen):
@@ -434,7 +462,8 @@ def _block_update(spec: ModelSpec, dataset: Dataset) -> str:
 
 def initial_chain_state(dataset: Dataset) -> ChainState:
     """Deterministic start: zero coefficients and the response variance."""
-    sigma2 = float(np.var(dataset.y, ddof=1)) if dataset.n > 1 else 1.0
+    with np.errstate(**_QUIET):  # an overflow falls back to 1.0 below
+        sigma2 = float(np.var(dataset.y, ddof=1)) if dataset.n > 1 else 1.0
     if not (math.isfinite(sigma2) and sigma2 > 0.0):
         sigma2 = 1.0
     return ChainState(beta=np.zeros(dataset.p), sigma2=sigma2)

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from blockgibbs import (
+    Dataset,
     FactorizationError,
     KernelKind,
     ModelSpec,
@@ -242,6 +243,50 @@ def test_many_threads_entering_scopes_restore_the_count(monkeypatch):
     assert len(seen) == 8 * 300 and set(seen) == {1}
     # every save was at 4 and every restore back to 4, in pairs
     assert lib.count == 4 and lib.sets == [1, 4] * (len(lib.sets) // 2)
+
+
+@needs_openblas
+def test_reduction_reached_outside_a_chain_gives_the_chains_draws(caller_at_two_threads):
+    # every dense chain on a Dataset shares its reduction, so the first caller
+    # to make it, here outside run_chain at two threads, cannot set its bits
+    spec, data = group_problem(Scenario.EXTRA_TALL, 400, 150)
+    samplers._dense_block_sampler(spec, data, KernelKind.TWO_BLOCK)
+    config = RunConfig(n_iter=20, burn_in=0, seed=7, store_beta=True)
+    shared = run_chain(KernelKind.TWO_BLOCK, spec, data, config)
+    fresh = run_chain(KernelKind.TWO_BLOCK, spec, Dataset(y=data.y, x=data.x), config)
+    assert shared.sigma2_draws.tobytes() == fresh.sigma2_draws.tobytes()
+    assert shared.beta_draws.tobytes() == fresh.beta_draws.tobytes()
+
+
+def test_threads_reaching_a_new_reduction_at_once_keep_one_copy(monkeypatch):
+    # each of more threads than cores finds no reduction and makes its own;
+    # every chain then runs on the one copy stored first, with equal draws
+    spec, data = group_problem(Scenario.EXTRA_TALL, 200, 50)
+    all_inside = threading.Barrier(4, timeout=30)
+    used = []
+    real = samplers._dense_data
+
+    def racing(dataset):
+        all_inside.wait()
+        used.append(real(dataset))
+        return used[-1]
+
+    monkeypatch.setattr(samplers, "_dense_data", racing)
+    config = RunConfig(n_iter=30, burn_in=0, seed=5, store_beta=True)
+    outputs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        errors = run_in_threads(
+            lambda: outputs.append(run_chain(KernelKind.TWO_BLOCK, spec, data, config)),
+            [()] * 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == [] and len(used) == len(outputs) == 4
+    assert all(reduction is used[0] for reduction in used)
+    assert samplers._DENSE_DATA[data] is used[0]
+    assert all(out.beta_draws.tobytes() == outputs[0].beta_draws.tobytes()
+               for out in outputs)
 
 
 @needs_openblas

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,13 +18,16 @@ from hypothesis import strategies as st
 from blockgibbs import (
     DimensionMismatchError,
     GroupStructure,
+    KernelKind,
     ModelKind,
     ModelSpec,
     RngStream,
+    RunConfig,
     SamplerError,
     Scenario,
     ScenarioSpec,
     cli,
+    samplers,
 )
 from blockgibbs.cli import (
     UsageError,
@@ -155,6 +159,19 @@ def test_run_data_with_undiagnosable_draws_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "cannot diagnose the chain: zero variance" in err
     assert "Traceback" not in err
+
+
+def test_run_data_that_overflows_exits_3_without_a_warning(tmp_path, capsys):
+    # the response variance, X^T X and ||y||^2 of entries near 1e200
+    # overflow; the chain fails, and no RuntimeWarning escapes even when
+    # warnings are errors
+    rows = [f"{i}e199,1e200,{-i}e199,{i % 3 + 1}e200" for i in range(1, 21)]
+    path = write_lines(tmp_path / "huge.csv", rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(RUN_DATA + ["--data", path, "--groups", "2,1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: ") and "Traceback" not in err
 
 
 BAD_CELLS = st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "", " ",
@@ -713,6 +730,21 @@ def test_bench_parallel_jobs_match_serial(tmp_path):
     rows1 = [{k: v for k, v in r.items() if k not in drop} for r in read_rows(raw1)]
     rows2 = [{k: v for k, v in r.items() if k not in drop} for r in read_rows(raw2)]
     assert rows1 == rows2
+
+
+def test_bench_job_reduces_its_dataset_once(monkeypatch):
+    # both kernels of a replication run on its one dataset, so R of [X y]
+    # is folded once for the two chains
+    calls = []
+    real = samplers.qr_r
+    monkeypatch.setattr(samplers, "qr_r", lambda x, y: calls.append(1) or real(x, y))
+    cell = ScenarioSpec("s1", 30, 10)
+    grid = cli.BenchGrid(cells=(cell,), models=(ModelSpec.group_lasso(1.0, cell.groups),),
+                         kernels=tuple(KernelKind), reps=1,
+                         config=RunConfig(n_iter=200, burn_in=50))
+    rows = cli._run_bench_job((grid, 0, 0))
+    assert [row.status for row in rows] == ["ok", "ok"]
+    assert len(calls) == 1
 
 
 def test_bench_chain_seed_depends_only_on_the_kernel(tmp_path):

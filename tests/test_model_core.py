@@ -63,6 +63,19 @@ def test_dataset_rejects_a_design_or_response_of_the_wrong_rank(y, x, match):
         Dataset(y=y, x=x)
 
 
+def test_dataset_arrays_are_read_only_views():
+    # the chains on a dataset share a reduction of x and y, so they cannot
+    # be written through the dataset; the caller's own arrays are not copied
+    x, y = np.ones((3, 2)), np.ones(3)
+    ds = Dataset(y=y, x=x)
+    with pytest.raises(ValueError, match="read-only"):
+        ds.x[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        ds.y[0] = 1.0
+    assert np.shares_memory(ds.x, x) and np.shares_memory(ds.y, y)
+    x[0, 0] = y[0] = 2.0
+
+
 @pytest.mark.parametrize("sigma2", [0.0, -1.0, math.nan, math.inf])
 def test_chain_state_rejects_a_sigma2_that_is_not_finite_and_positive(sigma2):
     # an infinite sigma2 used to be accepted, and run_chain started from it
@@ -75,7 +88,7 @@ def test_chain_state_rejects_a_non_finite_beta():
         ChainState(beta=np.array([0.0, math.nan]), sigma2=1.0)
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (1, 3)])
+@pytest.mark.parametrize("shape", [(2, 2), (1, 3), ()])
 def test_chain_state_rejects_a_beta_that_is_not_1d(shape):
     # a matrix used to be accepted, and only run_chain's length check caught it
     with pytest.raises(ValueError) as info:

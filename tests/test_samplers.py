@@ -1,4 +1,7 @@
+import gc
 import math
+import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -515,6 +518,92 @@ def test_layer_calls_are_looked_up_at_call_time_and_never_nest(monkeypatch, mode
     assert nested == []
     assert calls == per_iteration({**LAYER_CALLS[model], **SAMPLER_CALLS,
                                    **MEAN_CALLS[kernel]})
+
+
+# ---------------------------------------------------------------------------
+# one dense reduction per Dataset, shared by the chains on it
+# ---------------------------------------------------------------------------
+
+def count_qr_r(monkeypatch):
+    """A list that grows by one entry per `samplers.qr_r` call."""
+    calls = []
+    real = samplers.qr_r
+    monkeypatch.setattr(samplers, "qr_r", lambda x, y: calls.append(1) or real(x, y))
+    return calls
+
+
+def every_model(p):
+    groups = GroupStructure(np.array([2] * (p // 2)))
+    return [ModelSpec.group_lasso(1.0, groups),
+            ModelSpec.sparse_group_lasso(1.0, 1.0, groups),
+            ModelSpec.fused_lasso(1.0, 1.0)]
+
+
+def test_dense_reduction_runs_once_per_dataset(monkeypatch):
+    rng = np.random.default_rng(8)
+    x, y = rng.standard_normal((30, 6)), rng.standard_normal(30)
+    calls = count_qr_r(monkeypatch)
+    ds = Dataset(y=y, x=x)
+    for spec in every_model(6):
+        for kernel in (TWO, THREE):
+            run_chain(kernel, spec, ds, RunConfig(n_iter=3, burn_in=0, seed=1))
+    assert len(calls) == 1
+    assert not any(array.flags.writeable for array in samplers._dense_data(ds))
+    # a second Dataset built from the same arrays gets its own reduction
+    run_chain(TWO, every_model(6)[0], Dataset(y=y, x=x), RunConfig(n_iter=3, burn_in=0))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("n,p", [(30, 6), (6, 6), (4, 6)], ids=["n>p", "n=p", "p>n"])
+def test_chains_sharing_a_dataset_draw_as_on_fresh_ones(n, p):
+    # at p > n the group models take the n-space update and the fused lasso
+    # the dense one, on X itself
+    rng = np.random.default_rng(9)
+    x, y = rng.standard_normal((n, p)), rng.standard_normal(n)
+    shared = Dataset(y=y, x=x)
+    config = RunConfig(n_iter=20, burn_in=0, seed=5, store_beta=True)
+    for spec in every_model(p):
+        for kernel in (TWO, THREE):
+            reused = run_chain(kernel, spec, shared, config)
+            fresh = run_chain(kernel, spec, Dataset(y=y, x=x), config)
+            assert reused.sigma2_draws.tobytes() == fresh.sigma2_draws.tobytes()
+            assert reused.beta_draws.tobytes() == fresh.beta_draws.tobytes()
+
+
+def test_one_iteration_calls_reuse_the_reduction(monkeypatch):
+    rng = np.random.default_rng(10)
+    ds = Dataset(y=rng.standard_normal(30), x=rng.standard_normal((30, 6)))
+    calls = count_qr_r(monkeypatch)
+    state, stream = initial_chain_state(ds), RngStream(47)
+    for _ in range(5):
+        state = one_iteration(THREE, state, ds, every_model(6)[0], stream)
+    assert len(calls) == 1
+
+
+def test_a_dataset_is_not_kept_alive_by_its_reduction():
+    rng = np.random.default_rng(11)
+    ds = Dataset(y=rng.standard_normal(30), x=rng.standard_normal((30, 6)))
+    run_chain(TWO, every_model(6)[0], ds, RunConfig(n_iter=2, burn_in=0))
+    assert ds in samplers._DENSE_DATA
+    ref = weakref.ref(ds)
+    del ds
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("kernel", [TWO, THREE])
+@pytest.mark.parametrize("n,p,update", [(20, 4, "dense"), (3, 6, "nspace")])
+def test_overflowing_data_raises_sampler_error_not_a_warning(n, p, update, kernel):
+    # finite entries near 1e200 overflow in the response variance and in
+    # X^T X or I + X D X^T; no setup step lets a warning reach the caller
+    rng = np.random.default_rng(12)
+    ds = Dataset(y=1e200 * rng.standard_normal(n), x=1e200 * rng.standard_normal((n, p)))
+    spec = every_model(p)[0]
+    assert samplers._block_update(spec, ds) == update
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SamplerError):
+            run_chain(kernel, spec, ds, RunConfig(n_iter=5, burn_in=0))
 
 
 # ---------------------------------------------------------------------------
