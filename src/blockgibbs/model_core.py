@@ -37,18 +37,17 @@ class Dataset:
     """Response vector and design matrix of a regression problem.
 
     Compared and hashed by identity, as are the other records holding arrays.
-    `x` and `y` are read-only views of the arrays passed in (of float64,
-    C-ordered copies where those differ). The chains on a dataset share a
-    reduction of them made by the first, so the arrays passed in must not
-    change after a chain has run on it.
+    `x` and `y` are read-only, C-ordered float64 copies of the arrays passed
+    in: the chains on a dataset share a reduction of them made by the first,
+    so the caller may go on changing their own arrays.
     """
 
     y: np.ndarray
     x: np.ndarray
 
     def __post_init__(self):
-        y = np.ascontiguousarray(self.y, dtype=np.float64)
-        x = np.ascontiguousarray(self.x, dtype=np.float64)
+        y = np.array(self.y, dtype=np.float64, order="C")
+        x = np.array(self.x, dtype=np.float64, order="C")
         if x.ndim != 2:
             raise ValueError(f"design matrix must be 2-D, got ndim={x.ndim}")
         if y.ndim != 1:
@@ -62,9 +61,8 @@ class Dataset:
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
             raise ValueError("dataset contains non-finite entries")
         for name, array in (("y", y), ("x", x)):
-            view = array.view()
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def n(self) -> int:

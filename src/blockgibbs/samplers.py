@@ -18,9 +18,9 @@ draw, the prior precision Q and beta^T Q beta) in one object per chain
 dense update's coefficient draw.
 
 A chain's setup and loop run under `_linalg.one_blas_thread()`, and so does
-the dense update's reduction of a dataset (`_dense_data`), which every dense
-chain on that `Dataset` shares; so the draws do not depend on the host's
-BLAS thread count.
+the dense update's reduction of a dataset (`_dense_data`, made by the first
+dense chain on that `Dataset` and shared by the rest), so the draws do not
+depend on the host's BLAS thread count.
 
 Which matrix is factored is decided once per chain from the model and the
 data shape:
@@ -149,10 +149,11 @@ class ChainOutput:
     blas_threads: int | str
 
 
-# The chain loop runs with every floating-point warning off: an all-zero
-# coefficient block divides by zero on purpose (an infinite inverse-Gaussian
-# mean), and non-finite draws are detected explicitly and raised as
-# SamplerError. The caller's settings are restored when the loop exits.
+# The chain's setup and loop run with every floating-point warning off: an
+# all-zero coefficient block divides by zero on purpose (an infinite
+# inverse-Gaussian mean), and non-finite draws and an overflowing X^T X are
+# detected explicitly and raised as SamplerError. The caller's settings are
+# restored when the chain exits.
 _QUIET = dict(all="ignore")
 
 
@@ -349,7 +350,8 @@ def sample_mvn_precision(b: np.ndarray, precision: np.ndarray, sigma2: float,
 
 
 # The dense update's reduction of each dataset, shared by every chain on it.
-# Datasets compare by identity, and an entry dies with its dataset.
+# Datasets compare by identity, and an entry dies with its dataset; until
+# then it holds p^2 doubles for X^T X, plus (p + 1)^2 for R when n > p.
 _DENSE_DATA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -358,19 +360,19 @@ def _dense_data(dataset: Dataset) -> tuple:
 
     When n > p, the columns of R from `qr_r` stand in for X and y. X^T X is
     kept in Fortran order, so that copying it into a chain's scratch array
-    is one contiguous copy. The reduction runs under one BLAS thread with
-    floating-point warnings off, whoever asks first (an overflow surfaces as
-    a failed factorization or a non-finite draw), and its arrays are
-    read-only.
+    is one contiguous copy. Called inside `run_chain`'s `one_blas_thread()`
+    and `np.errstate`; raises `SamplerError` when X^T X or X^T y overflows,
+    and otherwise stores read-only arrays.
     """
     data = _DENSE_DATA.get(dataset)
     if data is None:
-        with one_blas_thread(), np.errstate(**_QUIET):
-            x, y = dataset.x, dataset.y
-            if dataset.n > dataset.p:
-                r = qr_r(x, y)
-                x, y = r[:, :-1], r[:, -1]
-            data = (x, y, np.asfortranarray(x.T @ x), x.T @ y)
+        x, y = dataset.x, dataset.y
+        if dataset.n > dataset.p:
+            r = qr_r(x, y)
+            x, y = r[:, :-1], r[:, -1]
+        data = (x, y, np.asfortranarray(x.T @ x), x.T @ y)
+        if not (np.isfinite(data[2]).all() and np.isfinite(data[3]).all()):
+            raise SamplerError(0, "X^T X or X^T y overflows")
         for array in data:
             array.flags.writeable = False
         # a chain in another thread may have stored the same reduction meanwhile
@@ -499,24 +501,23 @@ def run_chain(kernel: KernelKind, spec: ModelSpec, dataset: Dataset,
     # 0 * x is NaN exactly when x is +-inf or NaN, so one dot product checks beta
     zeros = np.zeros(dataset.p)
 
-    with one_blas_thread() as threads:
+    with one_blas_thread() as threads, np.errstate(**_QUIET):
         block = _BLOCK_SAMPLERS[update](spec, dataset, kernel)
-        with np.errstate(**_QUIET):
-            t0 = time.perf_counter()
-            for it in range(config.n_iter):
-                try:
-                    prior.draw(beta, sigma2, gen)
-                    beta, sigma2 = block(beta, prior, gen)
-                except (ValueError, FactorizationError) as exc:
-                    raise SamplerError(it, str(exc)) from exc
-                if not (math.isfinite(sigma2) and math.isfinite(zeros.dot(beta))):
-                    raise SamplerError(it, "non-finite draw")
-                k = it - burn_in
-                if k >= 0 and k % thin == thin - 1:
-                    sigma2_draws[k // thin] = sigma2
-                    if beta_draws is not None:
-                        beta_draws[k // thin] = beta
-            wall = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        for it in range(config.n_iter):
+            try:
+                prior.draw(beta, sigma2, gen)
+                beta, sigma2 = block(beta, prior, gen)
+            except (ValueError, FactorizationError) as exc:
+                raise SamplerError(it, str(exc)) from exc
+            if not (math.isfinite(sigma2) and math.isfinite(zeros.dot(beta))):
+                raise SamplerError(it, "non-finite draw")
+            k = it - burn_in
+            if k >= 0 and k % thin == thin - 1:
+                sigma2_draws[k // thin] = sigma2
+                if beta_draws is not None:
+                    beta_draws[k // thin] = beta
+        wall = time.perf_counter() - t0
 
     return ChainOutput(sigma2_draws=sigma2_draws, beta_draws=beta_draws,
                        wall_time_seconds=wall, kernel=kernel, model=spec,

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from blockgibbs import (
-    Dataset,
     FactorizationError,
     KernelKind,
     ModelSpec,
@@ -243,19 +242,6 @@ def test_many_threads_entering_scopes_restore_the_count(monkeypatch):
     assert len(seen) == 8 * 300 and set(seen) == {1}
     # every save was at 4 and every restore back to 4, in pairs
     assert lib.count == 4 and lib.sets == [1, 4] * (len(lib.sets) // 2)
-
-
-@needs_openblas
-def test_reduction_reached_outside_a_chain_gives_the_chains_draws(caller_at_two_threads):
-    # every dense chain on a Dataset shares its reduction, so the first caller
-    # to make it, here outside run_chain at two threads, cannot set its bits
-    spec, data = group_problem(Scenario.EXTRA_TALL, 400, 150)
-    samplers._dense_block_sampler(spec, data, KernelKind.TWO_BLOCK)
-    config = RunConfig(n_iter=20, burn_in=0, seed=7, store_beta=True)
-    shared = run_chain(KernelKind.TWO_BLOCK, spec, data, config)
-    fresh = run_chain(KernelKind.TWO_BLOCK, spec, Dataset(y=data.y, x=data.x), config)
-    assert shared.sigma2_draws.tobytes() == fresh.sigma2_draws.tobytes()
-    assert shared.beta_draws.tobytes() == fresh.beta_draws.tobytes()
 
 
 def test_threads_reaching_a_new_reduction_at_once_keep_one_copy(monkeypatch):

@@ -161,11 +161,13 @@ def test_run_data_with_undiagnosable_draws_exits_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_run_data_that_overflows_exits_3_without_a_warning(tmp_path, capsys):
-    # the response variance, X^T X and ||y||^2 of entries near 1e200
-    # overflow; the chain fails, and no RuntimeWarning escapes even when
-    # warnings are errors
-    rows = [f"{i}e199,1e200,{-i}e199,{i % 3 + 1}e200" for i in range(1, 21)]
+@pytest.mark.parametrize("response", ["{i}e199", "{i}"], ids=["huge-y", "moderate-y"])
+def test_run_data_that_overflows_exits_3_without_a_warning(tmp_path, capsys, response):
+    # X^T X of entries near 1e200 overflows (and so do the response variance
+    # and ||y||^2 of a huge y); the chain fails, with a moderate y too, and
+    # no RuntimeWarning escapes even when warnings are errors
+    rows = [response.format(i=i) + f",1e200,{-i}e199,{i % 3 + 1}e200"
+            for i in range(1, 21)]
     path = write_lines(tmp_path / "huge.csv", rows)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

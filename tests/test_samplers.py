@@ -580,6 +580,23 @@ def test_one_iteration_calls_reuse_the_reduction(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("n,p", [(30, 6), (4, 6)], ids=["n>p", "p>n"])
+def test_changing_the_callers_arrays_after_a_chain_changes_nothing(n, p):
+    # the dataset holds its own copy, so its reduction cannot go stale
+    rng = np.random.default_rng(13)
+    x, y = rng.standard_normal((n, p)), rng.standard_normal(n)
+    fresh = Dataset(y=y, x=x)
+    ds = Dataset(y=y, x=x)
+    spec = every_model(p)[2]  # the fused lasso takes the dense update at any p
+    config = RunConfig(n_iter=20, burn_in=0, seed=6, store_beta=True)
+    run_chain(TWO, spec, ds, config)
+    x[0, 0], y[0] = 50.0, -50.0
+    later = run_chain(THREE, spec, ds, config)
+    expected = run_chain(THREE, spec, fresh, config)
+    assert later.beta_draws.tobytes() == expected.beta_draws.tobytes()
+    assert later.sigma2_draws.tobytes() == expected.sigma2_draws.tobytes()
+
+
 def test_a_dataset_is_not_kept_alive_by_its_reduction():
     rng = np.random.default_rng(11)
     ds = Dataset(y=rng.standard_normal(30), x=rng.standard_normal((30, 6)))
@@ -592,12 +609,16 @@ def test_a_dataset_is_not_kept_alive_by_its_reduction():
 
 
 @pytest.mark.parametrize("kernel", [TWO, THREE])
+@pytest.mark.parametrize("y_scale", [1e200, 1.0])
 @pytest.mark.parametrize("n,p,update", [(20, 4, "dense"), (3, 6, "nspace")])
-def test_overflowing_data_raises_sampler_error_not_a_warning(n, p, update, kernel):
+def test_overflowing_data_raises_sampler_error_not_a_warning(n, p, update, y_scale,
+                                                             kernel):
     # finite entries near 1e200 overflow in the response variance and in
-    # X^T X or I + X D X^T; no setup step lets a warning reach the caller
+    # X^T X or I + X D X^T; no setup step lets a warning reach the caller,
+    # and an infinite X^T X fails the chain even when y is moderate
     rng = np.random.default_rng(12)
-    ds = Dataset(y=1e200 * rng.standard_normal(n), x=1e200 * rng.standard_normal((n, p)))
+    ds = Dataset(y=y_scale * rng.standard_normal(n),
+                 x=1e200 * rng.standard_normal((n, p)))
     spec = every_model(p)[0]
     assert samplers._block_update(spec, ds) == update
     with warnings.catch_warnings():
